@@ -24,12 +24,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple
 
 from repro.analysis.stats import Summary
-from repro.errors import TransferAborted
+from repro.errors import HostDownError, TransferAborted
 from repro.experiments.report import render_table
 from repro.experiments.runner import average_rows, run_repetitions
 from repro.experiments.scenario import ExperimentConfig, Session
 from repro.faults import ExponentialChurn, FaultPlan
-from repro.overlay.peer import PeerConfig
+from repro.overlay.peer import PeerConfig, RequestTimeout
 from repro.selection.base import SelectionContext, Workload
 from repro.selection.blind import RoundRobinSelector
 from repro.selection.evaluator import DataEvaluatorSelector
@@ -188,7 +188,9 @@ def _scenario(session: Session):
                 )
                 completed += 1
                 cost_total += outcome.transmission_time
-            except TransferAborted:
+            except (TransferAborted, HostDownError, RequestTimeout):
+                # An unanswered control message (the peer went down
+                # mid-handshake) loses the transfer like any abort.
                 aborted += 1
         metrics[f"{policy}/completed"] = float(completed)
         metrics[f"{policy}/aborted"] = float(aborted)

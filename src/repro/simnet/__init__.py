@@ -31,7 +31,7 @@ from repro.simnet.latency import (
     SpikyLatency,
     UniformLatency,
 )
-from repro.simnet.loss import NoLoss, OutageModel, PerUnitLoss
+from repro.simnet.loss import NoLoss, PerUnitLoss
 from repro.simnet.planetlab import (
     BROKER_HOSTNAME,
     FIGURE2_PETITION_TARGETS,
@@ -41,7 +41,6 @@ from repro.simnet.planetlab import (
     build_testbed,
 )
 from repro.simnet.rng import RandomStreams
-from repro.simnet.routing import SiteGraph
 from repro.simnet.topology import NodeSpec, PathSpec, Region, Site, Topology
 from repro.simnet.trace import TraceEvent, Tracer
 from repro.simnet.transport import (
@@ -74,13 +73,11 @@ __all__ = [
     "DiurnalBandwidth",
     "NoLoss",
     "PerUnitLoss",
-    "OutageModel",
     "Region",
     "Site",
     "NodeSpec",
     "PathSpec",
     "Topology",
-    "SiteGraph",
     "Network",
     "Host",
     "Datagram",

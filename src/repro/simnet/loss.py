@@ -10,20 +10,15 @@ unit size — so a 100 Mb unit is catastrophically more expensive than
 sixteen 6.25 Mb units even though the same bytes cross the wire.
 
 :class:`PerUnitLoss` implements exactly that Bernoulli model.
-:class:`OutageModel` adds scheduled outage windows during which a host
-drops everything (used by failure-injection tests).
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right
-from typing import Sequence
 
 import numpy as np
 
 from repro.units import to_mbit
 
-__all__ = ["PerUnitLoss", "NoLoss", "OutageModel"]
+__all__ = ["PerUnitLoss", "NoLoss"]
 
 
 class NoLoss:
@@ -74,44 +69,3 @@ class PerUnitLoss:
 
     def __repr__(self) -> str:
         return f"PerUnitLoss(per_mb_loss={self.per_mb_loss:g})"
-
-
-class OutageModel:
-    """Deterministic outage windows: ``[(start, end), ...]``.
-
-    During an outage every unit is lost regardless of size.  Windows
-    must be sorted and non-overlapping.
-    """
-
-    def __init__(self, windows: Sequence[tuple[float, float]] = ()) -> None:
-        prev_end = float("-inf")
-        for start, end in windows:
-            if start >= end:
-                raise ValueError(f"empty outage window ({start}, {end})")
-            if start < prev_end:
-                raise ValueError("outage windows must be sorted and disjoint")
-            prev_end = end
-        self.windows = [(float(s), float(e)) for s, e in windows]
-        self._starts = [s for s, _ in self.windows]
-
-    def in_outage(self, now: float) -> bool:
-        """True if ``now`` falls inside any outage window."""
-        i = bisect_right(self._starts, now) - 1
-        return i >= 0 and self.windows[i][0] <= now < self.windows[i][1]
-
-    def next_recovery(self, now: float) -> float:
-        """End of the outage containing ``now`` (or ``now`` if none)."""
-        i = bisect_right(self._starts, now) - 1
-        if i >= 0 and self.windows[i][0] <= now < self.windows[i][1]:
-            return self.windows[i][1]
-        return now
-
-    def unit_lost(self, size_bits: float, now: float) -> bool:
-        return self.in_outage(now)
-
-    def success_probability(self, size_bits: float) -> float:
-        # Time-varying; report the no-outage value for planning.
-        return 1.0
-
-    def __repr__(self) -> str:
-        return f"OutageModel({len(self.windows)} windows)"

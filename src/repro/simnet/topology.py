@@ -143,10 +143,6 @@ class Topology:
     nodes: Dict[str, NodeSpec] = field(default_factory=dict)
     region_rtt: Dict[tuple[str, str], float] = field(default_factory=dict)
     default_rtt: Optional[float] = None
-    #: Optional graph router (see :mod:`repro.simnet.routing`).  When
-    #: set, inter-region RTTs come from shortest paths over the site
-    #: graph (keyed by *region name*) instead of the pair table.
-    router: Optional[object] = None
 
     # -- construction -------------------------------------------------------
 
@@ -183,22 +179,10 @@ class Topology:
         """All hostnames in deterministic (insertion) order."""
         return tuple(self.nodes)
 
-    def set_router(self, router) -> None:
-        """Attach a graph router; region RTTs then come from it."""
-        self.router = router
-
     def base_rtt(self, src: str, dst: str) -> float:
         """Base region-pair RTT between two nodes (seconds)."""
         a = self.node(src).site.region.name
         b = self.node(dst).site.region.name
-        if self.router is not None:
-            if a == b:
-                # Intra-region stays table-driven (the router models
-                # the backbone between regions, not campus LANs).
-                intra = self.region_rtt.get(self._key(a, b))
-                if intra is not None:
-                    return intra
-            return self.router.rtt(a, b)
         key = self._key(a, b)
         rtt = self.region_rtt.get(key)
         if rtt is None:

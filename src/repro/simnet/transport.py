@@ -652,20 +652,6 @@ class Host:
         """Bring the host back up."""
         self._is_up = True
 
-    def schedule_outage(self, start: float, end: float) -> None:
-        """Crash at ``start`` and recover at ``end`` (absolute times).
-
-        Failure-injection helper: composes with any protocol running
-        over the host.  Both times must lie in the future.
-        """
-        if not self.sim.now <= start < end:
-            raise ValueError(
-                f"need now <= start < end, got ({start}, {end}) at "
-                f"t={self.sim.now}"
-            )
-        self.sim.call_at(start, self.crash)
-        self.sim.call_at(end, self.recover)
-
     def set_slowdown(self, factor: float) -> None:
         """Stretch this node's CPU by ``factor`` (1.0 = nominal).
 

@@ -35,6 +35,17 @@ class TestChurnRun:
         assert "completion rate" in out and "blind" in out
 
 
+class TestUnansweredControlMessages:
+    def test_request_timeout_counts_as_aborted(self):
+        """Repetition 4 at seed 2007 sends a PartNotice to a peer that
+        goes down mid-transfer; the unanswered request must count as an
+        aborted transfer, not crash the repetition."""
+        result = churn.run(ExperimentConfig(seed=2007, repetitions=5))
+        for policy in churn.POLICIES:
+            total = result.completed(policy) + result.aborted(policy)
+            assert total == pytest.approx(churn.N_TRANSFERS)
+
+
 class TestLivenessFilter:
     def test_stale_peers_dropped_from_candidates(self):
         from repro.experiments.scenario import Session

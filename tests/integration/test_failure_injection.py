@@ -94,7 +94,7 @@ class TestCrashDuringProtocol:
 
 
 class TestFailureFeedsSelection:
-    def test_evaluator_avoids_peer_with_failure_history(self):
+    def test_evaluator_avoids_peer_having_failure_history(self):
         # Default timeouts: the warmup reaches slow-overhead peers
         # (SC1/SC7 petition handling exceeds the fast-fail timeout).
         session = Session(ExperimentConfig(seed=8))
@@ -152,15 +152,3 @@ class TestFailureFeedsSelection:
             return None
 
         session.run(scenario)
-
-
-class TestOutageWindows:
-    def test_outage_model_blocks_and_releases(self):
-        """The OutageModel composes with transfer logic: units sent
-        during an outage are lost; after recovery they pass."""
-        from repro.simnet.loss import OutageModel
-
-        outage = OutageModel([(10.0, 20.0)])
-        assert outage.unit_lost(mbit(1), 15.0)
-        assert not outage.unit_lost(mbit(1), 25.0)
-        assert outage.next_recovery(15.0) == 20.0

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simnet.loss import NoLoss, OutageModel, PerUnitLoss
+from repro.simnet.loss import NoLoss, PerUnitLoss
 from repro.simnet.rng import RandomStreams
 from repro.units import mbit
 
@@ -63,34 +63,3 @@ class TestPerUnitLoss:
             PerUnitLoss(-0.1, rng)
         with pytest.raises(ValueError):
             PerUnitLoss(1.0, rng)
-
-
-class TestOutageModel:
-    def test_in_outage_boundaries(self):
-        m = OutageModel([(10.0, 20.0), (30.0, 35.0)])
-        assert not m.in_outage(9.99)
-        assert m.in_outage(10.0)
-        assert m.in_outage(19.99)
-        assert not m.in_outage(20.0)
-        assert m.in_outage(32.0)
-        assert not m.in_outage(40.0)
-
-    def test_unit_lost_only_during_outage(self):
-        m = OutageModel([(5.0, 6.0)])
-        assert m.unit_lost(mbit(1), 5.5)
-        assert not m.unit_lost(mbit(1), 4.0)
-
-    def test_next_recovery(self):
-        m = OutageModel([(10.0, 20.0)])
-        assert m.next_recovery(15.0) == 20.0
-        assert m.next_recovery(5.0) == 5.0
-
-    def test_empty_model_never_loses(self):
-        m = OutageModel()
-        assert not m.in_outage(0.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            OutageModel([(5.0, 5.0)])
-        with pytest.raises(ValueError):
-            OutageModel([(10.0, 20.0), (15.0, 25.0)])

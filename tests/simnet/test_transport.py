@@ -264,20 +264,12 @@ class TestNetwork:
 class TestScheduledOutage:
     def test_outage_window_crashes_and_recovers(self, network, sim):
         b = network.host("b.example")
-        b.schedule_outage(5.0, 10.0)
+        sim.call_at(5.0, b.crash)
+        sim.call_at(10.0, b.recover)
         sim.run(until=6.0)
         assert not b.is_up
         sim.run(until=11.0)
         assert b.is_up
-
-    def test_outage_validation(self, network, sim):
-        b = network.host("b.example")
-        with pytest.raises(ValueError):
-            b.schedule_outage(5.0, 5.0)
-        sim.timeout(10.0)
-        sim.run()
-        with pytest.raises(ValueError):
-            b.schedule_outage(5.0, 8.0)  # in the past
 
     def test_transfer_rides_through_outage(self, network, sim):
         from tests.conftest import run_process
@@ -285,7 +277,8 @@ class TestScheduledOutage:
         a, b = network.host("a.example"), network.host("b.example")
         # 10 Mb at 10 Mbps would finish at ~1 s, but the receiver is
         # down until t=3: early attempts are lost, a later one lands.
-        b.schedule_outage(0.5, 3.0)
+        sim.call_at(0.5, b.crash)
+        sim.call_at(3.0, b.recover)
         report = run_process(sim, a.reliable_transfer(b, mbit(10)))
         assert report.attempts > 1
         assert report.finished_at >= 3.0
@@ -439,7 +432,8 @@ class TestCrashDuringTransfer:
         sim = Simulator()
         net = Network(sim, make_two_node_topology(), streams=RandomStreams(1))
         a, b = net.host("a.example"), net.host("b.example")
-        b.schedule_outage(5.0, 15.0)
+        sim.call_at(5.0, b.crash)
+        sim.call_at(15.0, b.recover)
 
         report = run_process(sim, a.reliable_transfer(b, mbit(100)))
         assert report.attempts == 2
