@@ -384,6 +384,8 @@ class StalenessClock:
 
     def __init__(self) -> None:
         self._seen: Dict[str, float] = {}
+        #: The newest stamp held, for :meth:`note_many`'s fast path.
+        self._newest = float("-inf")
 
     def __len__(self) -> int:
         return len(self._seen)
@@ -393,11 +395,23 @@ class StalenessClock:
         prior = self._seen.get(key)
         if prior is None or now > prior:
             self._seen[key] = now
+            if now > self._newest:
+                self._newest = now
 
     def note_many(self, keys, now: float) -> None:
-        """Refresh several keys at once."""
-        for key in keys:
-            self.note(key, now)
+        """Refresh several keys at once.
+
+        Keepalives and stat reports always stamp at the current time,
+        which no held stamp exceeds, so one ``dict.update`` does it.  A
+        replication digest can carry older stamps; those are merged key
+        by key so that no key goes back in time.
+        """
+        if now >= self._newest:
+            self._seen.update(dict.fromkeys(keys, now))
+            self._newest = now
+        else:
+            for key in keys:
+                self.note(key, now)
 
     def age(self, key: str, now: float) -> float:
         """Seconds since ``key`` was refreshed (inf if never)."""

@@ -147,18 +147,63 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers automatically after a fixed delay."""
+    """An event that triggers automatically after a fixed delay.
+
+    Every ``yield <seconds>`` in a process builds one, so the
+    constructor sets the slots directly instead of going through
+    :class:`Event` and formats its name only when asked.
+    """
 
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SchedulingInPastError(f"negative timeout delay {delay!r}")
-        super().__init__(sim, name=f"timeout({delay:g})")
-        self.delay = float(delay)
-        self._ok = True
+        self.sim = sim
+        self.callbacks = []
         self._value = value
-        sim._schedule_event(self, URGENT_PRIORITY, delay=self.delay)
+        self._ok = True
+        self._cancelled = False
+        self.delay = delay = float(delay)
+        # Simulator._schedule_event, inlined for the hottest caller.
+        sim._seq += 1
+        agenda = sim._agenda
+        heapq.heappush(agenda, (sim._now + delay, URGENT_PRIORITY, sim._seq, self))
+        self._scheduled = True
+        if len(agenda) > sim.max_agenda_depth:
+            sim.max_agenda_depth = len(agenda)
+
+    @property
+    def name(self) -> str:
+        return f"timeout({self.delay:g})"
+
+
+def _run_call(event: "_Call") -> None:
+    event.fn(*event.args)
+
+
+class _Call(Event):
+    """A callback scheduled by :meth:`Simulator.call_at`.
+
+    It stores ``fn`` and ``args`` in slots and runs them through one
+    shared module-level callback, so scheduling a call allocates no
+    closure.  The name is derived from ``fn`` only when asked.
+    """
+
+    __slots__ = ("fn", "args")
+
+    def __init__(self, sim: "Simulator", fn: Callable[..., None], args: tuple) -> None:
+        self.sim = sim
+        self.callbacks = [_run_call]
+        self._value = None
+        self._ok = True
+        self._cancelled = False
+        self.fn = fn
+        self.args = args
+
+    @property
+    def name(self) -> str:
+        return getattr(self.fn, "__name__", "call")
 
 
 class _Initialize(Event):
@@ -267,10 +312,15 @@ class Process(Event):
                 self.sim._schedule_event(self, NORMAL_PRIORITY)
                 return
 
-            event = self._coerce(target)
-            if event.processed:
-                # Already happened: loop and feed its value straight in.
-                continue
+            if target.__class__ is float:
+                # Fast path for the common case, a sleep (the control
+                # loops yield one every tick): a fresh timeout is pending.
+                event = Timeout(self.sim, target)
+            else:
+                event = self._coerce(target)
+                if event.callbacks is None:
+                    # Already happened: loop and feed its value straight in.
+                    continue
             self._waiting_on = event
             event.callbacks.append(self._resume)
             break
@@ -457,11 +507,17 @@ class Simulator:
             raise SchedulingInPastError(
                 f"call_at({time!r}) is before now={self._now!r}"
             )
-        ev = Event(self, name=getattr(fn, "__name__", "call"))
-        ev.callbacks.append(lambda _ev: fn(*args))
-        ev._ok = True
-        ev._value = None
-        self._schedule_event(ev, NORMAL_PRIORITY, delay=time - self._now)
+        ev = _Call(self, fn, args)
+        # _schedule_event, inlined: every datagram delivery lands here.
+        # The due time is computed as ``now + (time - now)``, exactly as
+        # _schedule_event would, so float rounding is unchanged.
+        now = self._now
+        self._seq += 1
+        agenda = self._agenda
+        heapq.heappush(agenda, (now + (time - now), NORMAL_PRIORITY, self._seq, ev))
+        ev._scheduled = True
+        if len(agenda) > self.max_agenda_depth:
+            self.max_agenda_depth = len(agenda)
         return ev
 
     def call_in(self, delay: float, fn: Callable[..., None], *args: Any) -> Event:

@@ -49,6 +49,11 @@ class PerUnitLoss:
             raise ValueError(f"per_mb_loss must be in [0, 1), got {per_mb_loss}")
         self.per_mb_loss = float(per_mb_loss)
         self._rng = rng
+        #: Success probability of the last unit size sampled: a host
+        #: sends mostly one size (control messages), so the power is
+        #: computed once per size change, not once per unit.
+        self._cached_size: float = -1.0
+        self._cached_p = 1.0
 
     def success_probability(self, size_bits: float) -> float:
         """Probability that a unit of ``size_bits`` arrives intact."""
@@ -58,7 +63,10 @@ class PerUnitLoss:
         """Sample whether a unit of ``size_bits`` is lost in transit."""
         if self.per_mb_loss == 0.0:
             return False
-        return bool(self._rng.random() >= self.success_probability(size_bits))
+        if size_bits != self._cached_size:
+            self._cached_p = self.success_probability(size_bits)
+            self._cached_size = size_bits
+        return bool(self._rng.random() >= self._cached_p)
 
     def expected_transmissions(self, size_bits: float) -> float:
         """Mean sends needed until one succeeds (geometric mean 1/p)."""

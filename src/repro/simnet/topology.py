@@ -143,6 +143,12 @@ class Topology:
     nodes: Dict[str, NodeSpec] = field(default_factory=dict)
     region_rtt: Dict[tuple[str, str], float] = field(default_factory=dict)
     default_rtt: Optional[float] = None
+    #: Base one-way delay per sorted region pair, filled on demand by
+    #: :meth:`one_way_s`.  At most one entry per region pair, however
+    #: many nodes; cleared by :meth:`add_node` and :meth:`set_region_rtt`.
+    _one_way: Dict[tuple[str, str], float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # -- construction -------------------------------------------------------
 
@@ -151,6 +157,7 @@ class Topology:
         if spec.hostname in self.nodes:
             raise ConfigError(f"duplicate hostname {spec.hostname!r}")
         self.nodes[spec.hostname] = spec
+        self._one_way.clear()
 
     def add_nodes(self, specs: Iterable[NodeSpec]) -> None:
         for spec in specs:
@@ -161,6 +168,7 @@ class Topology:
         if rtt_s < 0:
             raise ConfigError(f"rtt must be >= 0, got {rtt_s}")
         self.region_rtt[self._key(a, b)] = float(rtt_s)
+        self._one_way.clear()
 
     @staticmethod
     def _key(a: str, b: str) -> tuple[str, str]:
@@ -183,7 +191,9 @@ class Topology:
         """Base region-pair RTT between two nodes (seconds)."""
         a = self.node(src).site.region.name
         b = self.node(dst).site.region.name
-        key = self._key(a, b)
+        return self._region_rtt(self._key(a, b))
+
+    def _region_rtt(self, key: tuple[str, str]) -> float:
         rtt = self.region_rtt.get(key)
         if rtt is None:
             if self.default_rtt is None:
@@ -191,12 +201,34 @@ class Topology:
             rtt = self.default_rtt
         return rtt
 
+    def one_way_s(self, src: str, dst: str) -> float:
+        """Base one-way delay between two nodes (seconds).
+
+        Equal to ``path(src, dst).base_one_way_s`` (0.0 for a self-send)
+        without building a :class:`PathSpec`; the value is memoised per
+        region pair, which is all it depends on.
+        """
+        if src == dst:
+            return 0.0
+        try:
+            a = self.nodes[src].site.region.name
+            b = self.nodes[dst].site.region.name
+        except KeyError:
+            self.node(src)
+            self.node(dst)  # one of the two raises NoRouteError
+            raise
+        key = (a, b) if a <= b else (b, a)
+        one_way = self._one_way.get(key)
+        if one_way is None:
+            one_way = self._one_way[key] = 0.5 * self._region_rtt(key)
+        return one_way
+
     def path(self, src: str, dst: str) -> PathSpec:
         """Static path characteristics for the directed pair."""
         if src == dst:
             return PathSpec(src=src, dst=dst, base_one_way_s=0.0, per_mb_loss=0.0)
         s, d = self.node(src), self.node(dst)
-        one_way = 0.5 * self.base_rtt(src, dst)
+        one_way = self.one_way_s(src, dst)
         # Losses on the two access paths compound.
         loss = 1.0 - (1.0 - s.per_mb_loss) * (1.0 - d.per_mb_loss)
         return PathSpec(src=src, dst=dst, base_one_way_s=one_way, per_mb_loss=loss)

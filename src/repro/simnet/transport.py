@@ -745,45 +745,60 @@ class Host:
         )
         self.messages_sent += 1
         self._m_msgs_sent.inc()
-        path = self.network.topology.path(self.hostname, dst.hostname)
+        network = self.network
         handling = dst._light_overhead if light else dst._overhead
         delay = (
-            path.base_one_way_s
+            network.topology.one_way_s(self.hostname, dst.hostname)
             * self.link_latency_factor
             * dst.link_latency_factor
             + handling.sample(now) * dst.slow_factor
         )
-        lost = (
-            self._loss.unit_lost(size_bits, now)
-            or dst._loss.unit_lost(size_bits, now)
-            or self.extra_loss.unit_lost(size_bits, now)
-            or dst.extra_loss.unit_lost(size_bits, now)
-            or self.network.is_partitioned(self.hostname, dst.hostname)
-        )
-        self.network.tracer.record(
-            "msg-send", now, src=self.hostname, dst=dst.hostname,
-            payload_kind=type(payload).__name__, lost=lost,
-        )
+        lost = self._unit_lost(dst, size_bits, now)
+        tracer = network.tracer
+        if tracer.enabled:
+            tracer.record(
+                "msg-send", now, src=self.hostname, dst=dst.hostname,
+                payload_kind=type(payload).__name__, lost=lost,
+            )
         if lost:
             self.messages_lost += 1
             self._m_msgs_lost.inc()
             return dgram
-        self.sim.call_in(delay, dst._deliver, dgram)
+        self.sim.call_at(now + delay, dst._deliver, dgram)
         return dgram
 
+    def _unit_lost(self, dst: "Host", size_bits: float, now: float) -> bool:
+        """Whether one unit from here to ``dst`` is lost.
+
+        Draw order is fixed: this host's loss model, ``dst``'s, this
+        host's extra loss, ``dst``'s extra loss, then the partition
+        check; the first loss short-circuits the rest.  A
+        :class:`NoLoss` model draws nothing, so it is skipped.
+        """
+        src_loss, dst_loss = self._loss, dst._loss
+        src_extra, dst_extra = self.extra_loss, dst.extra_loss
+        return (
+            (src_loss.__class__ is not NoLoss and src_loss.unit_lost(size_bits, now))
+            or (dst_loss.__class__ is not NoLoss and dst_loss.unit_lost(size_bits, now))
+            or (src_extra.__class__ is not NoLoss and src_extra.unit_lost(size_bits, now))
+            or (dst_extra.__class__ is not NoLoss and dst_extra.unit_lost(size_bits, now))
+            or self.network.is_partitioned(self.hostname, dst.hostname)
+        )
+
     def _deliver(self, dgram: Datagram) -> None:
+        tracer = self.network.tracer
         if not self._is_up:
-            self.network.tracer.record(
-                "msg-drop-down", self.sim.now, dst=self.hostname
-            )
+            if tracer.enabled:
+                tracer.record("msg-drop-down", self.sim.now, dst=self.hostname)
             return
         dgram.delivered_at = self.sim.now
         self.messages_received += 1
         self._m_msg_latency.observe(dgram.latency)
-        self.network.tracer.record(
-            "msg-recv", self.sim.now, src=dgram.src, dst=dgram.dst,
-            payload_kind=type(dgram.payload).__name__, latency=dgram.latency,
-        )
+        if tracer.enabled:
+            tracer.record(
+                "msg-recv", self.sim.now, src=dgram.src, dst=dgram.dst,
+                payload_kind=type(dgram.payload).__name__, latency=dgram.latency,
+            )
         handler = self._handlers.get(type(dgram.payload))
         if handler is not None:
             handler(dgram)
@@ -825,19 +840,14 @@ class Host:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         started = self.sim.now
         wasted = 0.0
+        tracer = self.network.tracer
         for attempt in range(1, max_attempts + 1):
             attempt_started = self.sim.now
             flow_done = self.start_flow(dst, size_bits)
             yield flow_done
             now = self.sim.now
             self.bits_sent += size_bits
-            lost = (
-                self._loss.unit_lost(size_bits, now)
-                or dst._loss.unit_lost(size_bits, now)
-                or self.extra_loss.unit_lost(size_bits, now)
-                or dst.extra_loss.unit_lost(size_bits, now)
-                or self.network.is_partitioned(self.hostname, dst.hostname)
-            )
+            lost = self._unit_lost(dst, size_bits, now)
             if not lost and dst._is_up:
                 dst.bits_received += size_bits
                 self._m_transfer_attempts.observe(attempt)
@@ -850,20 +860,22 @@ class Host:
                     attempts=attempt,
                     wasted_bits=wasted,
                 )
-                self.network.tracer.record(
-                    "transfer-done", now, src=self.hostname, dst=dst.hostname,
-                    size_bits=size_bits, attempts=attempt,
-                    duration=report.duration,
-                )
+                if tracer.enabled:
+                    tracer.record(
+                        "transfer-done", now, src=self.hostname, dst=dst.hostname,
+                        size_bits=size_bits, attempts=attempt,
+                        duration=report.duration,
+                    )
                 return report
             wasted += size_bits
             self._m_retransmissions.inc()
             attempt_duration = now - attempt_started
             detection = max(loss_timeout_factor * attempt_duration, 0.05)
-            self.network.tracer.record(
-                "transfer-retry", now, src=self.hostname, dst=dst.hostname,
-                size_bits=size_bits, attempt=attempt,
-            )
+            if tracer.enabled:
+                tracer.record(
+                    "transfer-retry", now, src=self.hostname, dst=dst.hostname,
+                    size_bits=size_bits, attempt=attempt,
+                )
             yield detection
         raise TransferAborted(
             f"{self.hostname}->{dst.hostname}: {max_attempts} attempts failed"

@@ -394,6 +394,13 @@ class SwarmCoordinator:
                 handle = None
                 self._on_source_failed(src, current, exc)
                 return
+        except GeneratorExit:
+            # Closed while suspended: the run was abandoned (a run
+            # deadline) and the garbage collector is reclaiming this
+            # worker.  That moment depends on allocation, not on
+            # simulated time, so notify no receiver from here.
+            handle = None
+            raise
         finally:
             self._alive -= 1
             if handle is not None and not handle.closed:
