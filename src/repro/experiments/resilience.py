@@ -198,20 +198,19 @@ class ResilienceResult:
 
 def _make_policy(policy: str, session: Session):
     recovery = session.config.recovery
-    degraded = recovery is not None and recovery.degraded_selection
     if policy == "blind":
         # Blind placement consults no statistics; there is nothing to
         # go stale and no degraded variant.
         return RoundRobinSelector()
     if policy == "economic":
-        if degraded:
+        if recovery is not None:
             return StalenessAwareScheduler(
                 reserve=False, budget_s=recovery.staleness_budget_s
             )
         return SchedulingBasedSelector(reserve=False)
     if policy == "same_priority":
         rng = session.streams.get("resilience/evaluator-ties")
-        if degraded:
+        if recovery is not None:
             return StalenessAwareEvaluator(
                 "same_priority",
                 tiebreak_rng=rng,

@@ -182,11 +182,10 @@ class Session:
     def __init__(self, config: ExperimentConfig) -> None:
         self.config = config
         recovery = config.recovery
-        with_standby = recovery is not None and recovery.standby_broker
         self.testbed: PlanetLabTestbed = build_testbed(
             include_full_slice=config.include_full_slice,
             synthetic_nodes=config.synthetic_nodes,
-            with_standby=with_standby,
+            with_standby=recovery is not None,
             federation_brokers=config.federation_brokers,
         )
         #: The process-wide registry active at construction time — the
@@ -243,7 +242,7 @@ class Session:
         #: Standby broker + failover supervision (recovery runs only).
         self.standby: Optional[Broker] = None
         self.failover: Optional[FailoverDirector] = None
-        if with_standby:
+        if recovery is not None:
             self.standby = Broker(
                 self.network,
                 self.testbed.standby_hostname,
@@ -252,7 +251,9 @@ class Session:
                 config=config.peer_config,
                 liveness_timeout_s=config.liveness_timeout_s,
             )
-        if recovery is not None and recovery.partition_aware_flows:
+            # Bulk flows across an active partition are pinned at rate 0
+            # until it heals; without recovery they stream through, as
+            # the calibrated studies always have.
             self.network.enable_flow_partition_gating()
         #: Fault runtimes installed on this session (the configured
         #: plan plus any a scenario installs itself); finalized —

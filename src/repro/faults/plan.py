@@ -165,7 +165,7 @@ class FaultRuntime:
             if standby is None:
                 raise ConfigError(
                     "target 'standby' needs a testbed built with a "
-                    "standby broker (recovery.standby_broker)"
+                    "standby broker (ExperimentConfig.recovery)"
                 )
             return (standby,)
         if target == "simpleclients":

@@ -9,7 +9,7 @@ One frozen knob bundle covers the three recovery pillars:
   with deterministic leader handover (see
   :class:`~repro.recovery.standby.FailoverDirector`);
 * **degraded-mode selection** — the staleness-aware variants of the
-  three paper selection models (see :mod:`repro.recovery.degraded`).
+  cost and economic selection models (see :mod:`repro.recovery.degraded`).
 
 The whole bundle rides on
 :class:`~repro.experiments.scenario.ExperimentConfig` (``recovery``
@@ -30,12 +30,14 @@ __all__ = ["RecoveryConfig"]
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """Knobs for the self-healing layer (all layers on by default)."""
+    """Knobs for the self-healing layer.
+
+    Setting :attr:`ExperimentConfig.recovery` turns every pillar on:
+    resume, a standby broker, staleness-aware selection and
+    partition-aware flow rating.  These fields only tune them.
+    """
 
     # -- transfer checkpoint/resume ---------------------------------------
-    #: Resume interrupted transfers from the last verified part instead
-    #: of restarting the file.
-    resume: bool = True
     #: Total attempts per file (first try + resumes).
     max_transfer_attempts: int = 4
     #: Pause before re-petitioning after an interrupted attempt.
@@ -47,8 +49,6 @@ class RecoveryConfig:
     supervision_poll_s: float = 5.0
 
     # -- broker failover ---------------------------------------------------
-    #: Provision a standby broker node and replicate state to it.
-    standby_broker: bool = True
     #: Primary -> standby state-replication period.
     replication_interval_s: float = 30.0
     #: Standby's health-probe period against the primary.
@@ -59,16 +59,8 @@ class RecoveryConfig:
     failover_miss_threshold: int = 2
 
     # -- degraded-mode selection -------------------------------------------
-    #: Swap the three selection models for staleness-aware variants.
-    degraded_selection: bool = True
     #: Inputs older than this are considered stale.
     staleness_budget_s: float = 180.0
-
-    # -- transport ----------------------------------------------------------
-    #: Opt in to partition-aware flow rating: bulk flows whose endpoints
-    #: are separated by an active partition are pinned at rate 0 until
-    #: the partition heals (legacy semantics let them stream through).
-    partition_aware_flows: bool = True
 
     def __post_init__(self) -> None:
         if self.max_transfer_attempts < 1:

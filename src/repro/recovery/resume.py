@@ -153,11 +153,9 @@ class ResumableSender:
                 # describe our parts.  Classify, don't raise.
                 out.reason = f"RecoveryError: {exc}"
                 break
-            if cfg.resume:
-                remaining = entry.remaining()
-            else:
-                # Resume disabled: every retry re-sends the whole file.
-                remaining = list(enumerate(sizes))
+            # Resume from the last verified part instead of restarting
+            # the file: proven parts are never re-sent.
+            remaining = entry.remaining()
             if not remaining:
                 # Every part proven by earlier attempts.
                 out.ok = True

@@ -2,8 +2,9 @@
 
 One frozen knob bundle for the multi-source download engine
 (:mod:`repro.swarm`): how many sources stream concurrently, when the
-endgame duplicates the last pieces, and whether failed sources are
-replaced.  Rides on
+endgame duplicates the last pieces, and when slow sources are parked.
+Every swarm pins the origin, replaces failed sources and breaks
+rarest-first ties on a seeded permutation.  Rides on
 :class:`~repro.experiments.scenario.ExperimentConfig` (``swarm``
 field) and round-trips through JSON like the rest of the experiment
 configuration.
@@ -32,12 +33,6 @@ class SwarmConfig:
     #: best-measured replicas beats spreading the downlink across
     #: mediocre ones.
     unchoke_slots: int = 3
-    #: Keep the first source the selection callback returns (the
-    #: origin copy) permanently unchoked.  Observed throughput cannot
-    #: rank capability above the equal share every flow is squeezed
-    #: to, so an unpinned origin can lose its slot to a lossier
-    #: replica that happened to measure the same.
-    pin_origin: bool = True
     #: Endgame: maximum concurrent fetchers per unproven piece
     #: (1 = the original request only, i.e. endgame disabled).
     endgame_duplicates: int = 2
@@ -49,12 +44,6 @@ class SwarmConfig:
     #: no redistribution, so a source that cannot fill its share
     #: actively shrinks aggregate throughput (0.0 = never park).
     drop_below: float = 0.5
-    #: Replace a failed source with a fresh pick from the selection
-    #: callback (False = finish with the survivors).
-    reassign: bool = True
-    #: Break rarest-first availability ties with a per-download seeded
-    #: permutation (False = ascending part index).
-    seeded_tiebreak: bool = True
 
     def __post_init__(self) -> None:
         if self.unchoke_slots < 1:

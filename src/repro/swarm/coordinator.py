@@ -204,10 +204,11 @@ class SwarmCoordinator:
         entry = self.ledger.open(
             self.filename, self.total_bits, sizes, now=sim.now
         )
-        priorities = None
-        if self.config.seeded_tiebreak:
-            rng = self.network.streams.get(f"swarm/{self.filename}")
-            priorities = [float(x) for x in rng.random(self.n_parts)]
+        # Rarest-first availability ties break on a per-download seeded
+        # permutation, so parallel sources spread instead of colliding
+        # on the same low index.
+        rng = self.network.streams.get(f"swarm/{self.filename}")
+        priorities = [float(x) for x in rng.random(self.n_parts)]
         tracker = PieceTracker(sizes, priorities)
         self._tracker = tracker
         for index in entry.verified_indices():
@@ -232,12 +233,12 @@ class SwarmCoordinator:
         for src in initial:
             if src.name not in self._used:
                 self._admit(src)
-        if self.config.pin_origin and initial:
-            # The first source the selection callback names is the
-            # origin copy: it keeps a streaming slot for the whole
-            # download (observed-rate ranking cannot tell a capable
-            # origin from a replica once equal shares cap them both).
-            self._choke.pin(initial[0].name)
+        # The first source the selection callback names is the origin
+        # copy: it keeps a streaming slot for the whole download.
+        # Observed-rate ranking cannot tell a capable origin from a
+        # replica once equal shares cap them both, so an unpinned
+        # origin could lose its slot to a lossier replica.
+        self._choke.pin(initial[0].name)
         yield self._done
         out.finished_at = sim.now
         out.ok = tracker.complete
@@ -487,11 +488,9 @@ class SwarmCoordinator:
             error=type(exc).__name__,
             dropped=len(dropped) + (1 if piece is not None else 0),
         )
-        if (
-            self.config.reassign
-            and not self._finished
-            and not self._tracker.complete
-        ):
+        if not self._finished and not self._tracker.complete:
+            # Replace the failed source with a fresh pick from the
+            # selection callback rather than finish with the survivors.
             exclude = tuple(self._used)
             replacement = tuple(self.select(1, exclude))[:1]
             for repl in replacement:

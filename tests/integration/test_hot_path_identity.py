@@ -1,9 +1,11 @@
-"""Bit-identity of the per-datagram fast path.
+"""Bit-identity pins for the studies' results.
 
 The fast path (slotted ``call_at`` events, the region-pair delay cache,
 skipped ``NoLoss`` models, trace records built only when tracing is on,
-bulk staleness stamps) must not change a single result.  The digests
-below were recorded on the code before the fast path existed: any
+bulk staleness stamps) must not change a single result.  Nor may
+removing the recovery and swarm switches no study set: the recovery
+stack and the swarm always run the one configuration every study ran.
+The digests below were recorded on the code before each change: any
 change to event order, to a float's rounding or to a random stream's
 draw count moves them.
 """
@@ -14,20 +16,30 @@ import hashlib
 
 import pytest
 
-from repro.experiments import ExperimentConfig, fig2_petition, scale
+from repro.experiments import ExperimentConfig, fig2_petition, resilience, scale, swarming
 from repro.experiments.scenario import Session
+from repro.faults import get_profile
 from repro.faults.injectors import LossBurst, Partition
 from repro.faults.plan import FaultPlan
+from repro.obs import MetricsRegistry, use_registry
+from repro.recovery import RecoveryConfig
 from repro.units import mbit
 
 #: sha256 of ``repr(fig2_petition.run(ExperimentConfig(seed=2007, repetitions=5)))``.
 FIG2_DIGEST = "d864312f16143ad1825bb2a27fb6845430f7f82bfd6b5f6441aa560dc6f8eb8d"
 #: sha256 of ``repr`` of the 200-peer ``scale.run_large`` cell below.
 LARGE_CELL_DIGEST = "fc05d4cbb5c1441188089e145c7b9e94a34474a4c6e7fb04e9a7df9a6bb38d7d"
+#: sha256 of ``repr`` of the sorted summaries of the self-healing
+#: resilience matrix over every default profile, seed 2007, one rep.
+RESILIENCE_RECOVERY_DIGEST = "89ecedc57ef94e107f01fb9c6dc0f5b9f5a3615878f6ec9972edc8c5004bd5ef"
 
 
 def _digest(result) -> str:
     return hashlib.sha256(repr(result).encode()).hexdigest()
+
+
+def _summaries_digest(result) -> str:
+    return hashlib.sha256(repr(sorted(result.summaries.items())).encode()).hexdigest()
 
 
 def test_fig2_digest_unchanged():
@@ -41,6 +53,38 @@ def test_large_pool_cell_digest_unchanged():
     config = ExperimentConfig(seed=2007, repetitions=1, flow_tick=30.0)
     result = scale.run_large(config, pools=(200,), n_jobs=8, concurrency=8)
     assert _digest(result) == LARGE_CELL_DIGEST
+
+
+def test_resilience_with_recovery_digest_unchanged():
+    # Every recovery pillar engages: resumes, standby failovers and
+    # degraded selection.
+    config = ExperimentConfig(seed=2007, repetitions=1, recovery=RecoveryConfig())
+    with use_registry(MetricsRegistry()) as reg:
+        result = resilience.run(config, workers=1)
+    assert _summaries_digest(result) == RESILIENCE_RECOVERY_DIGEST
+    counters = reg.to_dict()["counters"]
+    assert counters["selection.degraded"] == 36
+    assert counters["recovery.failovers"] == 3
+    assert counters["recovery.resumes"] == 1
+
+
+@pytest.mark.parametrize(
+    "profile, digest, reassignments",
+    [
+        (None, "c5675a47f02eeab8c4a111c3901fafcc724dc1e9305383a051c02b36f59013b4", 0),
+        # Partitioned sources fail and are replaced.
+        ("partition_eu", "10001ee8164bc8994ae891f2e1907adad58adcfcf219a4511cec5add6fa25597", 5),
+    ],
+    ids=["calibrated", "partition_eu"],
+)
+def test_swarm_smoke_digest_unchanged(profile, digest, reassignments, monkeypatch):
+    # Same, for the smoke-sized swarming sweep at seed 2007.
+    monkeypatch.setenv("REPRO_SWARM_SMOKE", "1")
+    plan = get_profile(profile) if profile is not None else None
+    with use_registry(MetricsRegistry()) as reg:
+        result = swarming.run(ExperimentConfig(seed=2007, fault_plan=plan))
+    assert _summaries_digest(result) == digest
+    assert reg.to_dict()["counters"]["swarm.reassignments"] == reassignments
 
 
 def _transfers(session: Session):

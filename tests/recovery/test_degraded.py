@@ -6,15 +6,8 @@ import pytest
 
 from repro.errors import TransferAborted
 from repro.experiments.scenario import ExperimentConfig, Session
-from repro.overlay.statistics import PerformanceHistory
-from repro.recovery import (
-    RecoveryConfig,
-    StalenessAwareEvaluator,
-    StalenessAwarePreference,
-    StalenessAwareScheduler,
-)
+from repro.recovery import RecoveryConfig, StalenessAwareEvaluator, StalenessAwareScheduler
 from repro.selection.base import SelectionContext, Workload
-from repro.selection.preference import PreferenceTable
 
 BUDGET_S = 180.0
 
@@ -127,63 +120,3 @@ class TestScheduler:
         assert target.perf is original_perf
         assert len(ranked) == len(candidates)
 
-
-class TestPreference:
-    def _observed(self, candidates, now):
-        observed = {}
-        for i, rec in enumerate(candidates):
-            hist = PerformanceHistory()
-            hist.record_transfer(now, 8e6, 2.0 + i)
-            observed[rec.peer_id] = hist
-        return observed
-
-    def test_fresh_experience_uses_table(self, warmed_session):
-        s = warmed_session
-        candidates = s.broker.candidates(kind="simpleclient")
-        now = s.sim.now
-        observed = self._observed(candidates, now)
-        table = PreferenceTable.explicit([r.peer_id for r in candidates])
-        selector = StalenessAwarePreference(
-            table, observed=observed, budget_s=BUDGET_S
-        )
-        ranked = selector.rank(_context(s, candidates, now))
-        assert selector.last_fallback == ""
-        assert ranked[0].record is candidates[0]
-
-    def test_stale_experience_refreshes_from_window(self, warmed_session):
-        s = warmed_session
-        candidates = s.broker.candidates(kind="simpleclient")
-        now = s.sim.now
-        observed = self._observed(candidates, now)
-        table = PreferenceTable.explicit([r.peer_id for r in candidates])
-        selector = StalenessAwarePreference(
-            table, observed=observed, budget_s=BUDGET_S
-        )
-        far = now + 10 * BUDGET_S
-        ranked = selector.rank(_context(s, candidates, far))
-        assert selector.last_fallback == "refreshed"
-        # recent_transfer prefers the fastest remembered rate: the
-        # first candidate got the quickest warmup observation.
-        assert ranked[0].record is candidates[0]
-
-    def test_no_experience_degrades_to_name_order(self, warmed_session):
-        s = warmed_session
-        candidates = s.broker.candidates(kind="simpleclient")
-        selector = StalenessAwarePreference(
-            PreferenceTable(), observed={}, budget_s=BUDGET_S
-        )
-        ranked = selector.rank(_context(s, candidates, s.sim.now))
-        assert selector.last_fallback == "blind"
-        names = [rc.record.adv.name for rc in ranked]
-        assert names == sorted(names)
-
-    def test_base_model_would_refuse(self, warmed_session):
-        # Sanity: the stock model raises where the degraded one ranks.
-        from repro.errors import SelectionError
-        from repro.selection.preference import UserPreferenceSelector
-
-        s = warmed_session
-        candidates = s.broker.candidates(kind="simpleclient")
-        stock = UserPreferenceSelector(PreferenceTable())
-        with pytest.raises(SelectionError):
-            stock.rank(_context(s, candidates, s.sim.now))

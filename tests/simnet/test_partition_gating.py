@@ -58,7 +58,7 @@ class TestGatingOff:
 
 class TestGatingOn:
     def _session(self):
-        # Recovery config switches gating on (partition_aware_flows).
+        # Any recovery config switches gating on.
         return Session(
             ExperimentConfig(
                 seed=61, repetitions=1, recovery=RecoveryConfig()

@@ -167,8 +167,6 @@ def _run_swarm(seed: int):
         endgame_duplicates=rng.randint(1, 3),
         optimistic_every=rng.randint(1, 4),
         drop_below=rng.choice([0.0, 0.5]),
-        pin_origin=rng.random() < 0.5,
-        seeded_tiebreak=rng.random() < 0.5,
     )
     coord = SwarmCoordinator(
         net,

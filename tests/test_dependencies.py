@@ -1,16 +1,20 @@
-"""Every third-party package the library imports is a declared dependency.
+"""Every third-party package the library imports is a declared dependency,
+and CI installs the declared set.
 
 Walks ``src/repro`` with :mod:`ast`, collects the top-level package of
 every absolute import that is neither ``repro`` nor in the standard
 library, and checks it against ``[project] dependencies`` in
 ``pyproject.toml``.  The file is read without :mod:`tomllib`, which
-Python 3.10 lacks.
+Python 3.10 lacks.  Every ``pip install`` in the CI workflow must
+install the project with its test extra, not a hand-picked list that
+can drift from what the tests import.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -56,3 +60,11 @@ def test_every_third_party_import_is_declared():
         if pkg.lower() not in declared
     }
     assert not undeclared, f"imported but not in pyproject.toml: {undeclared}"
+
+
+def test_every_ci_install_installs_the_project():
+    workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    installs = re.findall(r"pip install (.*)$", workflow, re.M)
+    assert installs, "ci.yml runs no pip install"
+    adhoc = [args for args in installs if shlex.split(args) != [".[test]"]]
+    assert not adhoc, f'CI installs other than ".[test]": {adhoc}'
