@@ -15,12 +15,11 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from repro.experiments.report import render_table
 from repro.experiments.scenario import ExperimentConfig, Session
 from repro.selection.blind import RoundRobinSelector
 from repro.selection.scheduling import SchedulingBasedSelector
+from repro.simnet.rng import RandomStreams
 from repro.units import mbit
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.traces import load_jobs, replay, save_jobs
@@ -45,7 +44,7 @@ def run_policy(name, selector, jobs):
 
 def main() -> None:
     gen = WorkloadGenerator(
-        np.random.default_rng(11),
+        RandomStreams(seed=11).get("trace-replay/jobs"),
         sizes_mb=(10.0, 20.0, 40.0),
         n_parts_choices=(2, 4),
         task_share=0.0,

@@ -31,9 +31,6 @@ from repro.experiments.scenario import ExperimentConfig, Session
 from repro.faults import ExponentialChurn, FaultPlan
 from repro.overlay.peer import PeerConfig, RequestTimeout
 from repro.selection.base import SelectionContext, Workload
-from repro.selection.blind import RoundRobinSelector
-from repro.selection.evaluator import DataEvaluatorSelector
-from repro.selection.scheduling import SchedulingBasedSelector
 from repro.units import mbit, to_mbit
 
 __all__ = ["ChurnResult", "run", "POLICIES"]
@@ -123,19 +120,6 @@ def _start_churn(session: Session) -> None:
     plan.install(session)
 
 
-def _make_policy(policy: str, session: Session):
-    if policy == "blind":
-        return RoundRobinSelector()
-    if policy == "economic":
-        return SchedulingBasedSelector(reserve=False)
-    if policy == "same_priority":
-        return DataEvaluatorSelector(
-            "same_priority",
-            tiebreak_rng=session.streams.get("churn/evaluator-ties"),
-        )
-    raise ValueError(f"unknown policy {policy!r}")
-
-
 def _candidates(policy: str, session: Session):
     if policy == "blind":
         # Blind: every registered peer, no liveness information.
@@ -158,7 +142,7 @@ def _scenario(session: Session):
 
     metrics: Dict[str, float] = {}
     for policy in POLICIES:
-        selector = _make_policy(policy, session)
+        selector = session.selector(policy, "churn", reserve=False)
         completed = 0
         aborted = 0
         cost_total = 0.0

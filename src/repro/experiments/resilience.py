@@ -36,22 +36,15 @@ from repro.errors import (
 )
 from repro.experiments.churn import POLICIES
 from repro.experiments.report import render_table
-from repro.experiments.runner import average_rows, run_repetitions
+from repro.experiments.runner import average_rows, run_repetitions, supervised
 from repro.experiments.scenario import ExperimentConfig, Session
 from repro.faults.profiles import get_profile
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import active_registry, use_registry
 from repro.overlay.peer import PeerConfig, RequestTimeout
 from repro.perf.parallel import pmap
-from repro.recovery.degraded import (
-    StalenessAwareEvaluator,
-    StalenessAwareScheduler,
-)
 from repro.recovery.resume import ResumableSender
 from repro.selection.base import SelectionContext, Workload
-from repro.selection.blind import RoundRobinSelector
-from repro.selection.evaluator import DataEvaluatorSelector
-from repro.selection.scheduling import SchedulingBasedSelector
 from repro.units import mbit, to_mbit
 
 __all__ = ["ResilienceResult", "run", "DEFAULT_PROFILES", "POLICIES"]
@@ -196,30 +189,6 @@ class ResilienceResult:
         )
 
 
-def _make_policy(policy: str, session: Session):
-    recovery = session.config.recovery
-    if policy == "blind":
-        # Blind placement consults no statistics; there is nothing to
-        # go stale and no degraded variant.
-        return RoundRobinSelector()
-    if policy == "economic":
-        if recovery is not None:
-            return StalenessAwareScheduler(
-                reserve=False, budget_s=recovery.staleness_budget_s
-            )
-        return SchedulingBasedSelector(reserve=False)
-    if policy == "same_priority":
-        rng = session.streams.get("resilience/evaluator-ties")
-        if recovery is not None:
-            return StalenessAwareEvaluator(
-                "same_priority",
-                tiebreak_rng=rng,
-                budget_s=recovery.staleness_budget_s,
-            )
-        return DataEvaluatorSelector("same_priority", tiebreak_rng=rng)
-    raise ValueError(f"unknown policy {policy!r}")
-
-
 def _candidates(policy: str, session: Session):
     # The acting leader governs: after a broker failover the standby's
     # replicated registry answers candidate queries.  Under a gossip
@@ -275,7 +244,16 @@ def _scenario(policy: str):
             except (TransferAborted, HostDownError, RequestTimeout):
                 pass
 
-        selector = _make_policy(policy, session)
+        # Self-healing cells select in degraded mode: informed models
+        # stop trusting inputs older than the staleness budget.
+        selector = session.selector(
+            policy,
+            "resilience",
+            reserve=False,
+            budget_s=(
+                recovery.staleness_budget_s if recovery is not None else None
+            ),
+        )
         sender = (
             ResumableSender(broker, recovery) if recovery is not None else None
         )
@@ -301,30 +279,33 @@ def _scenario(policy: str):
                 return None
 
         def attempt_legacy(adv, filename):
-            """Catcher: resolve one unsupervised transfer to a tag."""
+            """Catcher: one transfer's outcome, or None when it failed."""
             try:
-                outcome = yield sim.process(
+                return (yield sim.process(
                     broker.transfers.send_file(
                         adv, filename, TRANSFER_BITS, n_parts=TRANSFER_PARTS
                     )
-                )
-                return ("ok", outcome)
+                ))
             except (TransferAborted, HostDownError, RequestTimeout):
                 # HostDownError = the broker itself is in an outage
                 # window; the offered transfer is lost like any other.
-                return ("fail", None)
+                return None
 
         def attempt_resumed(filename):
-            out = yield sim.process(
+            return (yield sim.process(
                 sender.send_file(
                     lambda attempt, failed: pick(failed),
                     filename,
                     TRANSFER_BITS,
                     n_parts=TRANSFER_PARTS,
                 )
-            )
-            return ("resume", out)
+            ))
 
+        # A resumed transfer reports ``ok``; a plain one fails as None.
+        delivered = (
+            (lambda out: out.ok) if sender is not None
+            else (lambda out: out is not None)
+        )
         offered = 0
         completed = 0
         aborted = 0
@@ -351,27 +332,24 @@ def _scenario(policy: str):
                     continue
                 proc = sim.process(attempt_legacy(adv, filename))
             offered += 1
-            yield sim.any_of([proc, sim.timeout(deadline_at - sim.now)])
-            if not proc.triggered:
-                # Still in flight when the run deadline struck: the
-                # outcome is unknown — censor, don't count as failed.
+            status, out = yield from supervised(
+                sim, proc, deadline_at - sim.now, ok=delivered
+            )
+            if status == "censored":
+                # Still in flight when the run deadline struck.
                 censored += 1
                 break
-            tag, payload = proc.value
-            if tag == "ok":
+            if sender is not None:
+                resumes += out.resumes
+                parts_skipped += out.parts_skipped
+                recovered_bits += out.recovered_bits
+            if status == "completed":
                 completed += 1
-                cost_total += payload.transmission_time
+                cost_total += (
+                    out.data_seconds if sender is not None
+                    else out.transmission_time
+                )
                 goodput_bits += TRANSFER_BITS
-            elif tag == "resume":
-                resumes += payload.resumes
-                parts_skipped += payload.parts_skipped
-                recovered_bits += payload.recovered_bits
-                if payload.ok:
-                    completed += 1
-                    cost_total += payload.data_seconds
-                    goodput_bits += TRANSFER_BITS
-                else:
-                    aborted += 1
             else:
                 aborted += 1
             yield PACING_S

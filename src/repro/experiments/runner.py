@@ -1,10 +1,13 @@
-"""Experiment runner: repetition loop + averaging.
+"""Experiment runner: repetition loop, averaging and scenario steps.
 
 The paper repeats each measurement five times and reports the average.
 :func:`run_repetitions` builds a fresh :class:`~repro.experiments.scenario.Session`
 per repetition (fresh seed substream, fresh overlay) and hands the
 per-repetition result rows to :func:`average_rows` for the figures'
-mean series.
+mean series.  :func:`warmup_probe` and :func:`supervised` are the two
+scenario steps several studies share: a deadline-bounded probe that
+builds the broker's history, and a deadline-supervised attempt with
+completed / aborted / censored accounting.
 
 Repetitions are embarrassingly parallel — each one's seed derives only
 from the config — so ``workers > 1`` fans them out over a process pool
@@ -18,15 +21,16 @@ in repetition order.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.stats import Summary, summarize
+from repro.errors import TransferAborted
 from repro.experiments.scenario import ExperimentConfig, Session
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import active_registry, use_registry
 from repro.perf.parallel import picklable, pmap, resolve_workers
 
-__all__ = ["run_repetitions", "average_rows"]
+__all__ = ["run_repetitions", "average_rows", "warmup_probe", "supervised"]
 
 
 def _run_one_repetition(task: Tuple[ExperimentConfig, Callable, int, bool]):
@@ -104,3 +108,68 @@ def average_rows(
         if set(row) != keys:
             raise ValueError("repetition rows disagree on keys")
     return {key: summarize([row[key] for row in rows]) for key in sorted(keys)}
+
+
+def warmup_probe(
+    session: Session,
+    adv,
+    filename: str,
+    total_bits: float,
+    n_parts: int,
+    deadline_s: float,
+):
+    """Generator: a deadline-bounded probe transfer from the broker.
+
+    Builds the broker's observed goodput and latency history for the
+    peer behind ``adv``.  Once ``deadline_s`` has passed since the
+    petition was accepted, the next part is not sent: the transfer is
+    cancelled, which the broker records against the peer.  A refused
+    petition or an aborted part ends the probe quietly.
+    """
+    sim = session.sim
+    try:
+        handle = yield sim.process(
+            session.broker.transfers.open_transfer(
+                adv, filename=filename, total_bits=total_bits
+            )
+        )
+    except TransferAborted:
+        return
+    part_bits = total_bits / n_parts
+    started = sim.now
+    for _ in range(n_parts):
+        if sim.now - started > deadline_s:
+            handle.cancel("deadline")
+            return
+        try:
+            yield sim.process(handle.send_part(part_bits))
+        except TransferAborted:
+            return
+    handle.close()
+
+
+def supervised(
+    sim,
+    proc,
+    timeout_s: float,
+    ok: Callable[[Any], bool],
+    abort: Optional[Callable[[], None]] = None,
+):
+    """Generator: wait at most ``timeout_s`` for the process ``proc``.
+
+    Returns ``(status, value)``.  A process that ends in time is
+    ``"completed"`` or ``"aborted"`` as ``ok(value)`` says.  One still
+    running at the deadline is ``"censored"``: its outcome is unknown,
+    neither success nor failure.  With ``abort`` the censored process
+    is told to stop and awaited, and ``value`` is what it returns;
+    without, it is left running and ``value`` is None.
+    """
+    yield sim.any_of([proc, sim.timeout(timeout_s)])
+    if proc.triggered:
+        value = proc.value
+        return ("completed" if ok(value) else "aborted"), value
+    if abort is None:
+        return "censored", None
+    abort()
+    yield proc
+    return "censored", proc.value

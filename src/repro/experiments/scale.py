@@ -17,7 +17,6 @@ keeps finding the good ones.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import os
 from dataclasses import dataclass, replace
@@ -31,17 +30,13 @@ from repro.errors import (
 )
 from repro.experiments.report import render_table
 from repro.experiments.runner import average_rows, run_repetitions
-from repro.experiments.scenario import ExperimentConfig, Session
+from repro.experiments.scenario import ExperimentConfig, Session, in_waves
 from repro.faults.injectors import NodeCrash
 from repro.faults.plan import FaultPlan
 from repro.gossip.config import GossipConfig
 from repro.overlay.advertisements import ResourceAdvertisement
-from repro.overlay.client import SimpleClient
-from repro.overlay.peer import PeerConfig, RequestTimeout
+from repro.overlay.peer import RequestTimeout
 from repro.selection.base import SelectionContext, Workload
-from repro.selection.blind import RoundRobinSelector
-from repro.selection.evaluator import DataEvaluatorSelector
-from repro.selection.scheduling import SchedulingBasedSelector
 from repro.simnet.planetlab import (
     BROKER_HOSTNAME,
     SIMPLECLIENTS,
@@ -128,34 +123,21 @@ def _pool_hostnames(pool: int) -> List[str]:
     return names[:pool]
 
 
-def _make_selector(model: str, session: Session):
-    if model == "blind":
-        return RoundRobinSelector()
-    if model == "economic":
-        return SchedulingBasedSelector(reserve=True)
-    if model == "same_priority":
-        return DataEvaluatorSelector(
-            "same_priority",
-            tiebreak_rng=session.streams.get("scale/evaluator-ties"),
-        )
-    raise ValueError(f"unknown model {model!r}")
+def _session_peers(session: Session) -> Dict[str, object]:
+    """The session's SimpleClients by hostname."""
+    return {c.host.hostname: c for c in session.clients.values()}
 
 
 def _scenario(session: Session):
     sim = session.sim
     broker = session.broker
     # Bring up the extra slice nodes beyond the 8 session SCs.
-    extra = {}
-    for hostname in _pool_hostnames(max(POOL_SIZES)):
-        if hostname not in {c.host.hostname for c in session.clients.values()}:
-            peer = SimpleClient(
-                session.network, hostname, session.ids, name=hostname
-            )
-            extra[hostname] = peer
-            yield sim.process(peer.connect(broker.advertisement()))
-
-    all_peers = {c.host.hostname: c for c in session.clients.values()}
-    all_peers.update(extra)
+    all_peers = _session_peers(session)
+    extra = session.add_clients(
+        h for h in _pool_hostnames(max(POOL_SIZES)) if h not in all_peers
+    )
+    yield from session.bring_up(extra)
+    all_peers.update((peer.name, peer) for peer in extra)
 
     # Warmup: one probe per peer so informed models have history.
     for hostname, peer in all_peers.items():
@@ -173,7 +155,7 @@ def _scenario(session: Session):
     for pool in POOL_SIZES:
         pool_hosts = set(_pool_hostnames(pool))
         for model in MODELS:
-            selector = _make_selector(model, session)
+            selector = session.selector(model, "scale")
             total = 0.0
             for j in range(N_JOBS):
                 candidates = [
@@ -231,37 +213,26 @@ def _large_scenario(session: Session, pool: int, n_jobs: int, concurrency: int):
     sim = session.sim
     broker = session.broker
     hostnames = _pool_hostnames(pool)
-    peers = {c.host.hostname: c for c in session.clients.values()}
+    peers = _session_peers(session)
 
     # Bring up everything beyond the 8 session SCs, a wave at a time.
-    pending = []
-    for hostname in hostnames:
-        if hostname in peers:
-            continue
-        peer = SimpleClient(session.network, hostname, session.ids, name=hostname)
-        peers[hostname] = peer
-        pending.append(sim.process(peer.connect(broker.advertisement())))
-        if len(pending) >= concurrency:
-            for proc in pending:
-                yield proc
-            pending = []
-    for proc in pending:
-        yield proc
+    extra = session.add_clients(h for h in hostnames if h not in peers)
+    yield from session.bring_up(extra, wave=concurrency)
+    peers.update((peer.name, peer) for peer in extra)
 
     # Warmup: one short probe per peer so informed models have history.
     results: List[float] = []  # probe costs are discarded
-    pending = []
-    for hostname in hostnames:
-        pending.append(sim.process(_run_one_transfer(
-            sim, broker, peers[hostname].advertisement(),
-            f"probe-{hostname}", PROBE_BITS, 1, results,
-        )))
-        if len(pending) >= concurrency:
-            for proc in pending:
-                yield proc
-            pending = []
-    for proc in pending:
-        yield proc
+    yield from in_waves(
+        sim,
+        (
+            _run_one_transfer(
+                sim, broker, peers[hostname].advertisement(),
+                f"probe-{hostname}", PROBE_BITS, 1, results,
+            )
+            for hostname in hostnames
+        ),
+        concurrency,
+    )
 
     # One job list per pool: every model places the same offered load.
     gen = WorkloadGenerator(
@@ -272,33 +243,31 @@ def _large_scenario(session: Session, pool: int, n_jobs: int, concurrency: int):
     pool_hosts = set(hostnames)
     costs: Dict[str, float] = {}
     for model in MODELS:
-        selector = _make_selector(model, session)
+        selector = session.selector(model, "scale")
         samples: List[float] = []
-        pending = []
-        for j, job in enumerate(jobs):
-            candidates = [
-                rec for rec in broker.candidates()
-                if rec.adv.hostname in pool_hosts
-            ]
-            ctx = SelectionContext(
-                broker=broker,
-                now=sim.now,
-                workload=Workload(
-                    transfer_bits=job.file.size_bits, n_parts=job.n_parts
-                ),
-                candidates=candidates,
-            )
-            record = selector.select(ctx)
-            pending.append(sim.process(_run_one_transfer(
-                sim, broker, record.adv, f"job-{model}-{pool}-{j}",
-                job.file.size_bits, job.n_parts, samples,
-            )))
-            if len(pending) >= concurrency:
-                for proc in pending:
-                    yield proc
-                pending = []
-        for proc in pending:
-            yield proc
+
+        def placements():
+            # Lazy: each pick sees the broker's view as of its wave.
+            for j, job in enumerate(jobs):
+                candidates = [
+                    rec for rec in broker.candidates()
+                    if rec.adv.hostname in pool_hosts
+                ]
+                ctx = SelectionContext(
+                    broker=broker,
+                    now=sim.now,
+                    workload=Workload(
+                        transfer_bits=job.file.size_bits, n_parts=job.n_parts
+                    ),
+                    candidates=candidates,
+                )
+                record = selector.select(ctx)
+                yield _run_one_transfer(
+                    sim, broker, record.adv, f"job-{model}-{pool}-{j}",
+                    job.file.size_bits, job.n_parts, samples,
+                )
+
+        yield from in_waves(sim, placements(), concurrency)
         if not samples:
             raise TransferAborted(f"all {model}/{pool} placements aborted")
         costs[f"{model}/{pool}"] = sum(samples) / len(samples)
@@ -452,53 +421,6 @@ def _percentile(samples: List[float], q: float) -> float:
     return ordered[idx]
 
 
-def _fed_bringup(session: Session, pool: int):
-    """Generator: bring the cell to ``pool`` connected peers.
-
-    Returns ``{name: peer}`` over session SCs plus synthetic slivers.
-    Joins run :data:`FED_JOIN_WAVE` at a time; in federated mode the
-    new peers are enrolled first and gossip graphs are (re)built once
-    every join has landed.
-    """
-    sim = session.sim
-    fed = session.federation
-    peers: Dict[str, SimpleClient] = dict(session.clients)
-    config = session.config.peer_config or PeerConfig()
-    if fed is not None:
-        config = dataclasses.replace(
-            config, keepalive_enabled=False, stat_reports_enabled=False
-        )
-    fresh: List[SimpleClient] = []
-    for hostname in synthetic_hostnames(max(0, pool - len(peers))):
-        peer = SimpleClient(
-            session.network, hostname, session.ids, name=hostname,
-            config=config,
-        )
-        peers[peer.name] = peer
-        fresh.append(peer)
-        if fed is not None:
-            fed.enroll(peer)
-    pending = []
-    for peer in fresh:
-        if fed is not None:
-            pending.append(sim.process(
-                peer.join_federated(fed.shard_map, fed.broker_advs())
-            ))
-        else:
-            pending.append(sim.process(
-                peer.connect(session.broker.advertisement())
-            ))
-        if len(pending) >= FED_JOIN_WAVE:
-            for proc in pending:
-                yield proc
-            pending = []
-    for proc in pending:
-        yield proc
-    if fed is not None:
-        fed.start_gossip()
-    return peers
-
-
 def _fed_goodput(session: Session, peers, order: List[str], n: int, bits: int):
     """Generator: one petition-goodput window.
 
@@ -603,7 +525,14 @@ def _federated_scenario(
     """
     sim = session.sim
     fed = session.federation
-    peers = yield sim.process(_fed_bringup(session, pool))
+    fresh = session.add_clients(
+        synthetic_hostnames(max(0, pool - len(session.clients)))
+    )
+    # Bring-up runs as its own process: the pinned results depend on
+    # that event order.
+    yield sim.process(session.bring_up(fresh, wave=FED_JOIN_WAVE))
+    peers = dict(session.clients)
+    peers.update((peer.name, peer) for peer in fresh)
     names = list(peers)
     queriers, targets = _fed_sample(session, names, n_discovery)
     # Targets publish ahead of the window so every probe is resolvable.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan, FaultRuntime
@@ -24,7 +24,16 @@ from repro.overlay.client import SimpleClient
 from repro.overlay.ids import IdFactory
 from repro.overlay.peer import PeerConfig
 from repro.recovery.config import RecoveryConfig
+from repro.recovery.degraded import (
+    StalenessAwareEvaluator,
+    StalenessAwareScheduler,
+)
 from repro.recovery.standby import FailoverDirector
+from repro.selection.base import PeerSelector
+from repro.selection.blind import RoundRobinSelector
+from repro.selection.evaluator import DataEvaluatorSelector
+from repro.selection.preference import PreferenceTable, UserPreferenceSelector
+from repro.selection.scheduling import SchedulingBasedSelector
 from repro.swarm.config import SwarmConfig
 from repro.simnet.kernel import Simulator
 from repro.simnet.planetlab import PlanetLabTestbed, build_testbed
@@ -32,7 +41,25 @@ from repro.simnet.rng import RandomStreams
 from repro.simnet.trace import Tracer
 from repro.simnet.transport import Network
 
-__all__ = ["ExperimentConfig", "Session"]
+__all__ = ["ExperimentConfig", "Session", "in_waves"]
+
+
+def in_waves(sim: Simulator, gens: Iterable, width: int):
+    """Generator: run each generator in ``gens`` as a process, ``width``
+    at a time; a wave finishes before the next one starts.
+
+    ``gens`` is consumed lazily, so work done to build a generator
+    (picking a peer, say) happens just before its process starts.
+    """
+    pending = []
+    for gen in gens:
+        pending.append(sim.process(gen))
+        if len(pending) >= width:
+            for proc in pending:
+                yield proc
+            pending = []
+    for proc in pending:
+        yield proc
 
 
 @dataclass(frozen=True)
@@ -149,7 +176,10 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if peer_config is not None:
-            data["peer_config"] = PeerConfig(**peer_config)
+            try:
+                data["peer_config"] = PeerConfig(**peer_config)
+            except TypeError as exc:
+                raise ConfigError(f"peer_config: {exc}") from None
         if fault_plan is not None:
             data["fault_plan"] = FaultPlan.from_dict(fault_plan)
         if recovery is not None:
@@ -259,28 +289,55 @@ class Session:
         #: plan plus any a scenario installs itself); finalized —
         #: open episodes censored — when :meth:`run` returns.
         self.fault_runtimes: list[FaultRuntime] = []
-        client_config = config.peer_config
-        if config.gossip is not None:
-            # Gossip replaces the periodic beacons as liveness source:
-            # SWIM probes + event-driven notifies, not per-peer loops.
-            client_config = dataclasses.replace(
-                client_config if client_config is not None else PeerConfig(),
-                keepalive_enabled=False,
-                stat_reports_enabled=False,
-            )
         self.clients: Dict[str, SimpleClient] = {
             label: SimpleClient(
                 self.network,
                 self.testbed.sc_hostname(label),
                 ids,
                 name=label,
-                config=client_config,
+                config=config.peer_config,
             )
             for label in self.testbed.sc_labels()
         }
         self._connected = False
 
     # -- lifecycle -----------------------------------------------------------
+
+    def add_clients(self, hostnames: Iterable[str]) -> List[SimpleClient]:
+        """SimpleClients beyond the session's SCs, one per hostname (and
+        named by it), with the session's peer config.  They join the
+        overlay through :meth:`bring_up`."""
+        # One shared config object: pools run to thousands of peers.
+        config = self.config.peer_config or PeerConfig()
+        return [
+            SimpleClient(
+                self.network, hostname, self.ids, name=hostname, config=config
+            )
+            for hostname in hostnames
+        ]
+
+    def bring_up(self, peers: Sequence[SimpleClient], wave: int = 1):
+        """Generator: join ``peers`` to the overlay, ``wave`` at a time.
+
+        Under the legacy control plane each peer connects to the head
+        broker and starts its keepalive and stat-report loops.  Under a
+        gossip federation every peer is enrolled in its shard roster
+        first, each joins its home shard, and gossip starts (or grows
+        to cover the new peers) once every join has landed.
+        """
+        fed = self.federation
+        if fed is None:
+            joins = (peer.connect(self.broker.advertisement()) for peer in peers)
+        else:
+            for peer in peers:
+                fed.enroll(peer)
+            joins = (
+                peer.join_federated(fed.shard_map, fed.broker_advs())
+                for peer in peers
+            )
+        yield from in_waves(self.sim, joins, wave)
+        if fed is not None:
+            fed.start_gossip()
 
     def connect_all(self):
         """Generator process: join every SimpleClient to the broker.
@@ -290,20 +347,7 @@ class Session:
         the primary, and every client arms the standby as its backup
         broker.
         """
-        if self.federation is not None:
-            fed = self.federation
-            advs = fed.broker_advs()
-            for client in self.clients.values():
-                fed.enroll(client)
-            for client in self.clients.values():
-                yield self.sim.process(
-                    client.join_federated(fed.shard_map, advs)
-                )
-            fed.start_gossip()
-        else:
-            badv = self.broker.advertisement()
-            for client in self.clients.values():
-                yield self.sim.process(client.connect(badv))
+        yield from self.bring_up(list(self.clients.values()))
         recovery = self.config.recovery
         if self.standby is not None and recovery is not None:
             if self.federation is not None:
@@ -395,3 +439,45 @@ class Session:
     def candidates(self):
         """The broker's current simpleclient candidate records."""
         return self.broker.candidates(kind="simpleclient")
+
+    def selector(
+        self,
+        model: str,
+        study: str,
+        *,
+        reserve: bool = True,
+        budget_s: Optional[float] = None,
+    ) -> PeerSelector:
+        """A fresh selector for ``model``: ``blind`` (round robin),
+        ``economic`` (scheduling), ``same_priority`` (data evaluator) or
+        ``quick_peer`` (user preference).
+
+        ``study`` names the evaluator's tie-break stream
+        (``<study>/evaluator-ties``), so each study keeps its own draws.
+        ``reserve`` is the scheduler's ready-time reservation.  With a
+        staleness ``budget_s`` the economic and evaluator models are
+        their degraded-mode variants; blind placement consults no
+        statistics, and the quick-peer table is frozen at this instant.
+        """
+        if model == "blind":
+            return RoundRobinSelector()
+        if model == "economic":
+            if budget_s is not None:
+                return StalenessAwareScheduler(reserve=reserve, budget_s=budget_s)
+            return SchedulingBasedSelector(reserve=reserve)
+        if model == "same_priority":
+            rng = self.streams.get(f"{study}/evaluator-ties")
+            if budget_s is not None:
+                return StalenessAwareEvaluator(
+                    "same_priority", tiebreak_rng=rng, budget_s=budget_s
+                )
+            return DataEvaluatorSelector("same_priority", tiebreak_rng=rng)
+        if model == "quick_peer":
+            # The user drives the overlay from the broker console, so
+            # their memory is the petition latencies it observed: they
+            # remember which peers *answer* quickly.
+            table = PreferenceTable.quick_peer(
+                self.broker.observed, 0.0, self.sim.now
+            )
+            return UserPreferenceSelector(table, mode="quick_peer")
+        raise ValueError(f"unknown model {model!r}")

@@ -57,16 +57,16 @@ from functools import partial
 from typing import Dict, List, Mapping, Tuple
 
 from repro.analysis.stats import Summary
-from repro.errors import TransferAborted
 from repro.experiments.report import render_table
-from repro.experiments.runner import average_rows, run_repetitions
+from repro.experiments.runner import (
+    average_rows,
+    run_repetitions,
+    supervised,
+    warmup_probe,
+)
 from repro.experiments.scenario import ExperimentConfig, Session
 from repro.selection.base import SelectionContext, Workload
-from repro.selection.evaluator import DataEvaluatorSelector
-from repro.selection.preference import PreferenceTable, UserPreferenceSelector
-from repro.selection.scheduling import SchedulingBasedSelector
 from repro.simnet.planetlab import synthetic_hostnames
-from repro.overlay.client import SimpleClient
 from repro.swarm import SwarmConfig, SwarmCoordinator, SwarmSource
 from repro.units import mbit
 
@@ -162,21 +162,10 @@ class SwarmingResult:
         )
 
 
-def _make_selector(model: str, session: Session):
-    """Fresh selector for one greedy source pick (fig6's models)."""
-    if model == "economic":
-        return SchedulingBasedSelector(reserve=True)
-    if model == "same_priority":
-        return DataEvaluatorSelector(
-            "same_priority",
-            tiebreak_rng=session.streams.get("swarming/evaluator-ties"),
-        )
-    if model == "quick_peer":
-        table = PreferenceTable.quick_peer(
-            session.broker.observed, 0.0, session.sim.now
-        )
-        return UserPreferenceSelector(table, mode="quick_peer")
-    raise ValueError(f"unknown model {model!r}")
+#: Per-testbed download accounting, one key per supervised status.
+#: These are summed when cell rows merge; everything else (per-cell
+#: measurements) is disjoint and just copied.
+_COUNTER_SUFFIXES = ("completed", "aborted", "censored")
 
 
 def _source_selector(
@@ -206,7 +195,7 @@ def _source_selector(
             if rec.adv.name in replicas and rec.adv.name not in taken
         ]
         while pool and len(chosen) < needed:
-            selector = _make_selector(model, session)
+            selector = session.selector(model, "swarming")
             ctx = SelectionContext(
                 broker=broker,
                 now=sim.now,
@@ -224,53 +213,30 @@ def _source_selector(
 def _warmup(session: Session, replicas: Dict[str, object]):
     """Deadline-bounded probe to every replica: the broker's observed
     goodput/latency history is what the models rank sources by."""
-    broker = session.broker
-    sim = session.sim
-    part_bits = WARMUP_BITS / WARMUP_PARTS
-    for name in replicas:
-        node = replicas[name]
-        try:
-            handle = yield sim.process(
-                broker.transfers.open_transfer(
-                    node.advertisement(),
-                    filename=f"swarm-warmup-{name}",
-                    total_bits=WARMUP_BITS,
-                )
-            )
-        except TransferAborted:
-            continue
-        started = sim.now
-        cancelled = False
-        for _ in range(WARMUP_PARTS):
-            if sim.now - started > WARMUP_DEADLINE_S:
-                handle.cancel("deadline")
-                cancelled = True
-                break
-            try:
-                yield sim.process(handle.send_part(part_bits))
-            except TransferAborted:
-                cancelled = True
-                break
-        if not cancelled:
-            handle.close()
+    for name, node in replicas.items():
+        yield from warmup_probe(
+            session,
+            node.advertisement(),
+            f"swarm-warmup-{name}",
+            WARMUP_BITS,
+            WARMUP_PARTS,
+            WARMUP_DEADLINE_S,
+        )
 
 
 def _replica_pool(session: Session, testbed: str, dest_label: str):
     """Generator process: bring up (and index) the replica sources."""
-    replicas: Dict[str, object] = {}
     if testbed == "synthetic":
-        badv = session.broker.advertisement()
-        for hostname in synthetic_hostnames(session.config.synthetic_nodes):
-            node = SimpleClient(
-                session.network, hostname, session.ids, name=hostname
-            )
-            yield session.sim.process(node.connect(badv))
-            replicas[node.name] = node
-    else:
-        for label in session.sc_labels():
-            if label != dest_label:
-                replicas[label] = session.client(label)
-    return replicas
+        nodes = session.add_clients(
+            synthetic_hostnames(session.config.synthetic_nodes)
+        )
+        yield from session.bring_up(nodes)
+        return {node.name: node for node in nodes}
+    return {
+        label: session.client(label)
+        for label in session.sc_labels()
+        if label != dest_label
+    }
 
 
 def _cell_scenario(
@@ -307,38 +273,22 @@ def _cell_scenario(
         k=k,
         config=swarm_cfg,
     )
-    proc = sim.process(coord.download())
-    yield sim.any_of([proc, sim.timeout(RUN_DEADLINE_S)])
-    completed = aborted = censored = 0
-    if not proc.triggered:
-        # Still running at the deadline: censored, not aborted — tell
-        # them apart like the resilience matrix does.
-        censored = 1
-        coord.abort("deadline")
-        yield proc
-        outcome = proc.value
-        ok = False
-    else:
-        outcome = proc.value
-        ok = outcome.ok
-        if ok:
-            completed = 1
-        else:
-            aborted = 1
+    status, outcome = yield from supervised(
+        sim,
+        sim.process(coord.download()),
+        RUN_DEADLINE_S,
+        ok=lambda outcome: outcome.ok,
+        abort=lambda: coord.abort("deadline"),
+    )
+    ok = status == "completed"
     key = f"{testbed}/{model}/k{k}/g{g}"
     rows: Dict[str, float] = {
         key: outcome.completion_s if ok else math.nan,
         f"{key}/tail": outcome.last_piece_tail_s if ok else math.nan,
-        f"{testbed}/completed": float(completed),
-        f"{testbed}/aborted": float(aborted),
-        f"{testbed}/censored": float(censored),
     }
+    for suffix in _COUNTER_SUFFIXES:
+        rows[f"{testbed}/{suffix}"] = float(suffix == status)
     return rows
-
-
-#: Accounting keys are summed when cell rows merge; everything else
-#: (per-cell measurements) is disjoint and just copied.
-_COUNTER_SUFFIXES = ("completed", "aborted", "censored")
 
 
 def _merge_row(dst: Dict[str, float], src: Mapping[str, float]) -> None:

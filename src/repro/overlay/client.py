@@ -32,8 +32,10 @@ class SimpleClient(PeerNode):
         wrong-shard redirects (which carry the refusing broker's
         fresher map — the stale-shard-map retry path) and skipping
         brokers our gossip view believes dead.  Adopts every fresher
-        map seen along the walk into ``self.shard_map``.  Returns the
-        accepting broker's advertisement; raises
+        map seen along the walk into ``self.shard_map``.  Unlike
+        :meth:`connect` it starts no keepalive or stat-report loop: SWIM
+        probes and event-driven notifies are the federation's liveness
+        source.  Returns the accepting broker's advertisement; raises
         :class:`~repro.errors.NotConnectedError` when the attempt
         budget is exhausted.
         """

@@ -74,15 +74,8 @@ class PeerConfig:
 
     #: Liveness beacon period (seconds).
     keepalive_interval_s: float = 30.0
-    #: Whether the per-peer keepalive beacon loop runs at all.  The
-    #: gossip-federated control plane turns this off: SWIM probing plus
-    #: event-driven ``GossipNotify`` replaces periodic beacons as the
-    #: broker's liveness source (see :mod:`repro.gossip`).
-    keepalive_enabled: bool = True
     #: Statistics push period (seconds).
     stat_report_interval_s: float = 60.0
-    #: Whether the periodic statistics push loop runs.
-    stat_reports_enabled: bool = True
     #: Timeout for the file-transfer petition round.  Must exceed the
     #: slowest node's first-contact overhead (SC7 ~ 27 s).
     petition_timeout_s: float = 120.0
@@ -448,19 +441,17 @@ class PeerNode:
         if not ack.accepted:
             raise NotConnectedError(f"{self.name}: join refused: {ack.reason}")
         self._finalize_join(broker_adv, ack)
+        self.sim.process(self._keepalive_loop(), name=f"keepalive@{self.name}")
+        self.sim.process(self._stat_report_loop(), name=f"stats@{self.name}")
         return ack
 
     def _finalize_join(self, broker_adv: PeerAdvertisement, ack: JoinAck) -> None:
-        """Adopt an accepted broker: session, directory, periodic loops."""
+        """Adopt an accepted broker: session and directory."""
         self.broker_adv = broker_adv
         self.directory[ack.broker_id] = broker_adv.hostname
         self.online = True
         if not self.stats.session_active:
             self.stats.start_session()
-        if self.config.keepalive_enabled:
-            self.sim.process(self._keepalive_loop(), name=f"keepalive@{self.name}")
-        if self.config.stat_reports_enabled:
-            self.sim.process(self._stat_report_loop(), name=f"stats@{self.name}")
 
     def disconnect(self) -> None:
         """Leave the overlay: notify the broker and close the session."""

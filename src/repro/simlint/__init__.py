@@ -15,7 +15,7 @@ silently breaking.  This package enforces those invariants statically
 * inline ``# simlint: disable=SIM0xx -- reason`` suppressions,
 * a committed baseline for grandfathered findings,
 * text / JSON / GitHub-annotation reporters,
-* a CLI: ``python -m repro.simlint src benchmarks tests``.
+* a CLI: ``python -m repro.simlint src benchmarks tests examples``.
 
 Programmatic use::
 

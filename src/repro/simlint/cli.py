@@ -9,7 +9,7 @@ Exit codes::
 
 Typical invocations::
 
-    python -m repro.simlint src benchmarks tests
+    python -m repro.simlint src benchmarks tests examples
     python -m repro.simlint src --format github          # CI annotations
     python -m repro.simlint src --select SIM011          # one rule
     python -m repro.simlint src --changed-only --stats   # warm incremental

@@ -33,24 +33,19 @@ class PieceTracker:
     def __init__(
         self,
         part_sizes: Sequence[float],
-        priorities: Optional[Sequence[float]] = None,
+        priorities: Sequence[float],
     ) -> None:
         """``priorities`` are the seeded tie-break draws, one float per
-        part (``None`` = ascending index order breaks ties)."""
+        part; equal priorities fall back to ascending index order."""
         self.part_sizes: Tuple[float, ...] = tuple(
             float(s) for s in part_sizes
         )
         n = len(self.part_sizes)
         if n < 1:
             raise ValueError("a download needs at least one part")
-        if priorities is None:
-            self._priority: Tuple[float, ...] = (0.0,) * n
-        else:
-            if len(priorities) != n:
-                raise ValueError(
-                    f"{len(priorities)} priorities for {n} parts"
-                )
-            self._priority = tuple(float(p) for p in priorities)
+        if len(priorities) != n:
+            raise ValueError(f"{len(priorities)} priorities for {n} parts")
+        self._priority: Tuple[float, ...] = tuple(float(p) for p in priorities)
         #: source name -> pieces held (None = the whole file); the
         #: membership view is a frozenset, never iterated.
         self._sources: Dict[str, Optional[frozenset]] = {}

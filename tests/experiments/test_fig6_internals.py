@@ -46,7 +46,7 @@ class TestWarmup:
 
 class TestUserTable:
     def test_quick_peer_is_the_most_responsive(self, warm_session):
-        table = f6._user_table(warm_session)
+        table = warm_session.selector("quick_peer", "fig6").table
         broker = warm_session.broker
         scores = {
             rec.adv.name: table.score(rec.peer_id)
@@ -59,16 +59,16 @@ class TestUserTable:
 class TestSelectors:
     def test_model_factory_names(self, warm_session):
         for model in f6.MODELS:
-            selector = f6._make_selector(model, warm_session)
+            selector = warm_session.selector(model, "fig6")
             assert selector is not None
         with pytest.raises(ValueError):
-            f6._make_selector("mystery", warm_session)
+            warm_session.selector("mystery", "fig6")
 
     def test_quick_peer_picks_sc2(self, warm_session):
         from repro.selection.base import SelectionContext, Workload
 
         s = warm_session
-        selector = f6._make_selector("quick_peer", s)
+        selector = s.selector("quick_peer", "fig6")
         ctx = SelectionContext(
             broker=s.broker,
             now=s.sim.now,
@@ -81,7 +81,7 @@ class TestSelectors:
         from repro.selection.base import SelectionContext, Workload
 
         s = warm_session
-        selector = f6._make_selector("economic", s)
+        selector = s.selector("economic", "fig6")
         ctx = SelectionContext(
             broker=s.broker,
             now=s.sim.now,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.gossip.config import GossipConfig
@@ -13,7 +11,6 @@ from repro.overlay.advertisements import ResourceAdvertisement
 from repro.overlay.broker import Broker
 from repro.overlay.client import SimpleClient
 from repro.overlay.ids import IdFactory
-from repro.overlay.peer import PeerConfig
 from repro.simnet.kernel import Simulator
 from repro.simnet.planetlab import build_testbed
 from repro.simnet.rng import RandomStreams
@@ -35,13 +32,8 @@ def _stack(seed: int = 17, n_brokers: int = 3):
         for i, hostname in enumerate(testbed.federation)
     ]
     fed = Federation(net, brokers, GossipConfig())
-    config = dataclasses.replace(
-        PeerConfig(), keepalive_enabled=False, stat_reports_enabled=False
-    )
     clients = {
-        label: SimpleClient(
-            net, testbed.sc_hostname(label), ids, name=label, config=config
-        )
+        label: SimpleClient(net, testbed.sc_hostname(label), ids, name=label)
         for label in testbed.sc_labels()
     }
     return sim, net, brokers, fed, clients

@@ -5,6 +5,8 @@ skipped ``NoLoss`` models, trace records built only when tracing is on,
 bulk staleness stamps) must not change a single result.  Nor may
 removing the recovery and swarm switches no study set: the recovery
 stack and the swarm always run the one configuration every study ran.
+Nor may sharing one experiment harness (selector factory, peer
+bring-up, warmup probe, deadline-supervised attempt) between studies.
 The digests below were recorded on the code before each change: any
 change to event order, to a float's rounding or to a random stream's
 draw count moves them.
@@ -16,11 +18,20 @@ import hashlib
 
 import pytest
 
-from repro.experiments import ExperimentConfig, fig2_petition, resilience, scale, swarming
+from repro.experiments import (
+    ExperimentConfig,
+    churn,
+    fig2_petition,
+    fig6_selection,
+    resilience,
+    scale,
+    swarming,
+)
 from repro.experiments.scenario import Session
 from repro.faults import get_profile
 from repro.faults.injectors import LossBurst, Partition
 from repro.faults.plan import FaultPlan
+from repro.gossip.config import GossipConfig
 from repro.obs import MetricsRegistry, use_registry
 from repro.recovery import RecoveryConfig
 from repro.units import mbit
@@ -53,6 +64,60 @@ def test_large_pool_cell_digest_unchanged():
     config = ExperimentConfig(seed=2007, repetitions=1, flow_tick=30.0)
     result = scale.run_large(config, pools=(200,), n_jobs=8, concurrency=8)
     assert _digest(result) == LARGE_CELL_DIGEST
+
+
+_ONE_REP = ExperimentConfig(seed=2007, repetitions=1)
+
+
+@pytest.mark.parametrize(
+    "study, digest",
+    [
+        (
+            lambda: _digest(fig6_selection.run(_ONE_REP)),
+            "e6bc645462bd9ec624d02d8c6b3160fcd60684190a802fe7b8175d7d37ff3321",
+        ),
+        (
+            lambda: _digest(churn.run(_ONE_REP)),
+            "e650a41deb6317e8f9ed2b1e69f2ec60f4c3467c6f3bb2caf48d8a10381ecc31",
+        ),
+        (
+            lambda: _digest(scale.run(_ONE_REP)),
+            "fd048956b3a28123ca851d223693465efd2bae78d57810d3e85dfdfe31b1a40d",
+        ),
+        (
+            lambda: _summaries_digest(resilience.run(_ONE_REP, workers=1)),
+            "0feb932edb59a1ab98ae5a2dff4a5ecccfd5c3aa04e0f6db242b354dd1306c42",
+        ),
+        # Federated branch of ``Session.connect_all``: SCs enrol, join
+        # their home shard, then gossip starts.
+        (
+            lambda: _digest(fig2_petition.run(ExperimentConfig(
+                seed=2007, repetitions=1, gossip=GossipConfig(),
+                federation_brokers=3,
+            ))),
+            "12d3339092c151644d052a821dfbc3d650f91eeaa8f304db92d1c9b901e5bc25",
+        ),
+        # Both testbeds: synthetic replicas brought up per cell, and
+        # the slice25 SCs.
+        (
+            lambda: _summaries_digest(swarming.run(_ONE_REP)),
+            "caf41a12d2e62160e9b51bd7ffd6f2e71490eeaac92d8e487c02b8f27b44f81b",
+        ),
+    ],
+    ids=["fig6", "churn", "scale", "resilience", "fig2-federated", "swarming"],
+)
+def test_study_digest_unchanged(study, digest):
+    assert study() == digest
+
+
+def test_federated_smoke_digest_unchanged(monkeypatch):
+    # Keepalive baseline cell plus gossip-federated cells, each brought
+    # up a join wave at a time.
+    monkeypatch.setenv("REPRO_FED_SMOKE", "1")
+    result = scale.run_federated(_ONE_REP)
+    assert _digest(result) == (
+        "c13fd15251479eeac966410a60f8bf1a9dabf1a239cb1d2e815ebb04abb3381e"
+    )
 
 
 def test_resilience_with_recovery_digest_unchanged():

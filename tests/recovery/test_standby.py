@@ -10,14 +10,8 @@ from repro.experiments.scenario import ExperimentConfig, Session
 from repro.faults.injectors import BrokerOutage
 from repro.faults.plan import FaultPlan
 from repro.overlay.peer import PeerConfig
-from repro.recovery import (
-    RecoveryConfig,
-    ResumableSender,
-    StalenessAwareEvaluator,
-    StalenessAwareScheduler,
-)
+from repro.recovery import RecoveryConfig, ResumableSender
 from repro.selection.base import SelectionContext, Workload
-from repro.selection.blind import RoundRobinSelector
 
 _PEER_CONFIG = PeerConfig(
     petition_timeout_s=40.0,
@@ -127,21 +121,6 @@ class TestFailover:
         assert a.latency_s == b.latency_s
 
 
-def _make_selector(policy, session):
-    recovery = session.config.recovery
-    if policy == "blind":
-        return RoundRobinSelector()
-    if policy == "economic":
-        return StalenessAwareScheduler(
-            reserve=False, budget_s=recovery.staleness_budget_s
-        )
-    return StalenessAwareEvaluator(
-        "same_priority",
-        tiebreak_rng=session.streams.get("test/evaluator-ties"),
-        budget_s=recovery.staleness_budget_s,
-    )
-
-
 class TestPetitionsDuringOutage:
     """Acceptance: under broker outage windows, petitions issued
     *inside* the windows complete >= 95% with recovery on, for all
@@ -160,7 +139,12 @@ class TestPetitionsDuringOutage:
 
         def scenario(s):
             sim = s.sim
-            selector = _make_selector(policy, s)
+            selector = s.selector(
+                policy,
+                "test",
+                reserve=False,
+                budget_s=s.config.recovery.staleness_budget_s,
+            )
             sender = ResumableSender(s.broker, s.config.recovery)
             outs = []
 

@@ -2,8 +2,9 @@
 
 Locks in what the whole-program pass proved at adoption time:
 
-* ``src/`` + ``tests/`` + ``benchmarks/`` are clean under the full
-  rule pack (per-file SIM001–SIM007 and cross-module SIM010–SIM014) —
+* ``src/`` + ``tests/`` + ``benchmarks/`` + ``examples/`` are clean
+  under the full rule pack (per-file SIM001–SIM007 and cross-module
+  SIM010–SIM014) —
   every RNG in library code derives from the session tree, every
   published metric name is catalogued, every emitted trace event is
   on-schema with its required fields, every hand-rolled config
@@ -33,7 +34,8 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 def repo_result(tmp_path_factory):
     cache = tmp_path_factory.mktemp("simlint_cache")
     result, stats = lint_project(
-        ["src", "tests", "benchmarks"], root=REPO_ROOT, cache_dir=cache
+        ["src", "tests", "benchmarks", "examples"], root=REPO_ROOT,
+        cache_dir=cache,
     )
     return result, stats
 

@@ -8,20 +8,24 @@ from repro.swarm.pieces import PieceTracker
 
 
 def make_tracker(n=4, priorities=None):
+    """A tracker over ``n`` 1 Mb parts; equal priorities by default,
+    so ties fall through to the part index."""
+    if priorities is None:
+        priorities = [0.0] * n
     return PieceTracker([1e6] * n, priorities)
 
 
 class TestLayout:
     def test_empty_layout_raises(self):
         with pytest.raises(ValueError):
-            PieceTracker([])
+            PieceTracker([], [])
 
     def test_priority_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             PieceTracker([1e6, 1e6], priorities=[0.5])
 
     def test_part_sizes_coerced_to_float(self):
-        t = PieceTracker([1, 2])
+        t = PieceTracker([1, 2], [0.0, 0.0])
         assert t.part_sizes == (1.0, 2.0)
         assert t.n_parts == 2
 

@@ -48,7 +48,7 @@ class TestTrackerProperties:
             priorities = (
                 [rng.random() for _ in range(n)]
                 if rng.random() < 0.5
-                else None
+                else [0.0] * n  # all tied: the index decides
             )
             tracker = PieceTracker([1e6] * n, priorities)
             holdings = {}

@@ -77,6 +77,25 @@ class TestCliConfigFile:
         assert main(["fig2", "--config", str(path)]) == 0
         assert "SC7" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            ('{"seed": 1, "warp_factor": 9}', "unknown config keys"),
+            ('{"peer_config": {"keepalive_enabled": false}}', "keepalive_enabled"),
+            ("{not json", "Expecting property name"),
+            (None, "No such file"),
+        ],
+        ids=["unknown-key", "unknown-peer-config-key", "not-json", "missing"],
+    )
+    def test_bad_config_file_fails_with_reason(self, tmp_path, capsys, content, reason):
+        path = tmp_path / "bad.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["fig2", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("--config: ")
+        assert reason in err
+
 
 class TestCliMetricsOut:
     def test_metrics_out_writes_json_with_histograms(self, tmp_path, capsys):
