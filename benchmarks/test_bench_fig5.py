@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import pytest
+
 from repro.experiments import fig5_granularity
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import PAPER_CONFIG, emit
 
 
 def test_bench_fig5(benchmark, paper_config):
@@ -25,3 +29,20 @@ def test_bench_fig5(benchmark, paper_config):
         "paper: ~1.7 min)",
         result.table(),
     )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fig5_seed_sweep_returns_ordered(seed):
+    # Whole-file transfers that exhaust their attempts are censored
+    # samples: every seed returns, at the paper's 5 repetitions.
+    config = dataclasses.replace(PAPER_CONFIG, seed=seed)
+    result = fig5_granularity.run(config)
+    whole, four, sixteen = (result.grand_mean_minutes(n) for n in (1, 4, 16))
+    assert whole > four > sixteen, f"seed {seed}: {whole:.2f}/{four:.2f}/{sixteen:.2f}"
+    # A censored count is reported for every cell, and each censored
+    # cell is marked in the table.
+    assert set(result.censored) == set(result.summaries)
+    assert all(0 <= k <= config.repetitions for k in result.censored.values())
+    marked = sum(1 for k in result.censored.values() if k)
+    marked += sum(1 for g in result.granularities if result.censored_count(g))
+    assert result.table().count(">=") == marked

@@ -102,10 +102,6 @@ class Federation:
         """Advertisements of every federation broker, in map order."""
         return [b.advertisement() for b in self.brokers.values()]
 
-    def owner_broker(self, shard_key: str):
-        """The broker currently owning ``shard_key`` (authoritative map)."""
-        return self.brokers[self.shard_map.owner_of(shard_key)]
-
     # -- enrolment & gossip graphs ------------------------------------------
 
     def enroll(self, peer) -> str:
@@ -281,10 +277,8 @@ class Federation:
 
         for retry in range(self.config.rehome_retries):
             try:
-                yield self.sim.process(
-                    peer.join_federated(
-                        peer.shard_map, self.broker_advs(), rejoin=True
-                    )
+                yield from peer.join_federated(
+                    peer.shard_map, self.broker_advs(), rejoin=True
                 )
             except (RequestTimeout, NotConnectedError, HostDownError):
                 if retry + 1 < self.config.rehome_retries:

@@ -174,7 +174,7 @@ class SwimAgent:
             if self.peer.host.is_up:
                 target = self._next_target()
                 if target is not None:
-                    yield self.sim.process(self._probe_round(target))
+                    yield from self._probe_round(target)
             yield interval
 
     def _next_target(self) -> Optional[str]:
@@ -189,15 +189,12 @@ class SwimAgent:
         return None
 
     def _probe_round(self, name: str):
-        """Generator process: one direct + indirect probe of a member."""
-        st = self.table.get(name)
-        if st is None:
-            return False
+        """Generator, run inline: one direct + indirect probe of a member."""
+        st = self.table[name]
         self._m_probes.inc()
-        ok = yield self.sim.process(self._ping_once(st.hostname, about=name))
-        if ok:
+        if (yield from self._ping_once(st.hostname, about=name)):
             self._confirm(name)
-            return True
+            return
         # Indirect probes through seeded-deterministic proxies.
         proxies = self._pick_proxies(exclude=name)
         if proxies:
@@ -217,18 +214,13 @@ class SwimAgent:
                 self.peer.host.send(
                     self.peer.network.host(pst.hostname), req, light=True
                 )
-            yield self.sim.any_of(
-                [waiter, self.sim.timeout(self.config.probe_timeout_s)]
-            )
-            if waiter.triggered:
+            if (yield from self._await_ack(nonce, waiter)):
                 self._confirm(name)
-                return True
-            self.peer.cancel_wait(("gossip-ack", nonce), waiter)
+                return
         self._declare_suspect(name)
-        return False
 
     def _ping_once(self, hostname: str, about: Optional[str] = None):
-        """Generator process: one direct ping; True on ack in time."""
+        """Generator, run inline: one direct ping; True on ack in time."""
         nonce = self.peer.next_query_id()
         waiter = self.peer.expect(("gossip-ack", nonce))
         ping = GossipPing(
@@ -238,6 +230,10 @@ class SwimAgent:
             rumors=self._take_piggyback(about=about),
         )
         self.peer.host.send(self.peer.network.host(hostname), ping, light=True)
+        return (yield from self._await_ack(nonce, waiter))
+
+    def _await_ack(self, nonce: int, waiter):
+        """Generator: True when ``waiter`` fires within the probe timeout."""
         yield self.sim.any_of(
             [waiter, self.sim.timeout(self.config.probe_timeout_s)]
         )
@@ -469,10 +465,7 @@ class SwimAgent:
 
     def _proxy_probe(self, req: GossipPingReq):
         """Generator process: probe the target on the origin's behalf."""
-        ok = yield self.sim.process(
-            self._ping_once(req.target_hostname, about=req.target)
-        )
-        if ok:
+        if (yield from self._ping_once(req.target_hostname, about=req.target)):
             self._confirm(req.target)
             if self.peer.host.is_up:
                 relay = GossipAck(

@@ -65,13 +65,11 @@ class SimpleClient(PeerNode):
                 continue
             tried[target] = True
             try:
-                ack = yield self.sim.process(
-                    self.request(
-                        self.network.host(target),
-                        self._join_request(),
-                        ("join", self.peer_id),
-                        light=True,
-                    )
+                ack = yield from self.request(
+                    self.network.host(target),
+                    self._join_request(),
+                    ("join", self.peer_id),
+                    light=True,
                 )
             except (RequestTimeout, HostDownError):
                 continue

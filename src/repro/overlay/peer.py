@@ -510,31 +510,35 @@ class PeerNode:
     # -- broker liveness & failover ------------------------------------------------
 
     def ping_broker(self, timeout: Optional[float] = None):
-        """Generator process: probe the current broker's liveness.
+        """Generator, run inline: probe the current broker's liveness.
 
         Returns True when the broker answers within ``timeout``; False
-        otherwise (never raises).
+        otherwise (never raises).  It only waits on the network, so it
+        starts no process.
         """
-        if self.broker_adv is None:
-            raise NotConnectedError(f"{self.name} has no broker")
         timeout = self.config.request_timeout_s if timeout is None else timeout
+        return (yield from self.ping(self._broker_host(), timeout))
+
+    def ping(self, dst: Host, timeout: float):
+        """Generator, run inline: one Ping to ``dst``; True on its Pong.
+
+        False when no Pong arrives within ``timeout`` (never raises).
+        """
         nonce = self.next_query_id()
         try:
-            yield self.sim.process(
-                self.request(
-                    self._broker_host(),
-                    Ping(sender=self.peer_id, nonce=nonce),
-                    ("pong", nonce),
-                    timeout=timeout,
-                    retries=1,
-                    light=True,
-                )
+            yield from self.request(
+                dst,
+                Ping(sender=self.peer_id, nonce=nonce),
+                ("pong", nonce),
+                timeout=timeout,
+                retries=1,
+                light=True,
             )
-            return True
         except (RequestTimeout, HostDownError):
             # HostDownError = our *own* host died mid-probe; treat the
             # probe as unanswered and let the caller re-check is_up.
             return False
+        return True
 
     def enable_failover(
         self,
@@ -563,8 +567,7 @@ class PeerNode:
             yield interval
             if not self.host.is_up or self.broker_adv is None:
                 continue
-            alive = yield self.sim.process(self.ping_broker(ping_timeout))
-            if alive:
+            if (yield from self.ping_broker(ping_timeout)):
                 continue
             if not self.host.is_up:
                 # We crashed mid-probe; the broker was never judged.

@@ -33,9 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, TYPE_CHECKING
 
-from repro.errors import HostDownError
-from repro.overlay.messages import Ping
-from repro.overlay.peer import RequestTimeout
 from repro.recovery.config import RecoveryConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -129,8 +126,9 @@ class FailoverDirector:
                 self.suspected_at = None
                 continue
             probe_started = self.sim.now
-            ok = yield self.sim.process(self._probe())
-            if ok:
+            if (yield from self.standby.ping(
+                self.primary.host, cfg.failover_ping_timeout_s
+            )):
                 misses = 0
                 self.suspected_at = None
                 continue
@@ -166,26 +164,6 @@ class FailoverDirector:
             return False
         since = self.suspected_at if self.suspected_at is not None else self.sim.now
         return st.confirmed_at >= since
-
-    def _probe(self):
-        """Generator process: one standby->primary liveness probe."""
-        standby = self.standby
-        primary_host = standby.network.host(self.primary.host.hostname)
-        nonce = standby.next_query_id()
-        try:
-            yield self.sim.process(
-                standby.request(
-                    primary_host,
-                    Ping(sender=standby.peer_id, nonce=nonce),
-                    ("pong", nonce),
-                    timeout=self.config.failover_ping_timeout_s,
-                    retries=1,
-                    light=True,
-                )
-            )
-        except (RequestTimeout, HostDownError):
-            return False
-        return True
 
     def _promote(self) -> None:
         now = self.sim.now

@@ -124,6 +124,30 @@ class TestFigure5:
         assert "complete file" in out and "16 parts" in out
 
 
+class TestFigure5Censoring:
+    """Seed 4 aborts three whole-file transfers at 5 repetitions."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return fig5_granularity.run(ExperimentConfig(seed=4, repetitions=5))
+
+    def test_aborted_transfers_are_counted_not_raised(self, result):
+        censored = {key: k for key, k in result.censored.items() if k}
+        assert censored == {"SC2/1": 2, "SC7/1": 1}
+        assert set(result.censored) == set(result.summaries)
+        assert result.censored_count(1) == 3
+        assert result.censored_count(16) == 0
+
+    def test_grand_means_keep_the_paper_order(self, result):
+        whole, four, sixteen = (result.grand_mean_minutes(n) for n in (1, 4, 16))
+        assert whole > four > sixteen
+
+    def test_table_marks_censored_cells(self, result):
+        out = result.table()
+        assert out.count(">=") == 3  # SC2, SC7 and the mean row
+        assert "(2c)" in out and "(3c)" in out
+
+
 class TestFigure6:
     @pytest.fixture(scope="class")
     def result(self):

@@ -22,6 +22,7 @@ from repro.experiments import (
     ExperimentConfig,
     churn,
     fig2_petition,
+    fig5_granularity,
     fig6_selection,
     resilience,
     scale,
@@ -76,6 +77,13 @@ _ONE_REP = ExperimentConfig(seed=2007, repetitions=1)
             lambda: _digest(fig6_selection.run(_ONE_REP)),
             "e6bc645462bd9ec624d02d8c6b3160fcd60684190a802fe7b8175d7d37ff3321",
         ),
+        # Summaries only: a seed on which no transfer aborts keeps them.
+        (
+            lambda: _summaries_digest(fig5_granularity.run(
+                ExperimentConfig(seed=2007, repetitions=5)
+            )),
+            "300b0f3f45dfcab028eca8d93b05628d265040f7b6e9b80358a74c110a015071",
+        ),
         (
             lambda: _digest(churn.run(_ONE_REP)),
             "e650a41deb6317e8f9ed2b1e69f2ec60f4c3467c6f3bb2caf48d8a10381ecc31",
@@ -104,7 +112,7 @@ _ONE_REP = ExperimentConfig(seed=2007, repetitions=1)
             "caf41a12d2e62160e9b51bd7ffd6f2e71490eeaac92d8e487c02b8f27b44f81b",
         ),
     ],
-    ids=["fig6", "churn", "scale", "resilience", "fig2-federated", "swarming"],
+    ids=["fig6", "fig5", "churn", "scale", "resilience", "fig2-federated", "swarming"],
 )
 def test_study_digest_unchanged(study, digest):
     assert study() == digest
