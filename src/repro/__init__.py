@@ -10,8 +10,8 @@ Subpackages
     flow-level fair sharing, and the calibrated Table 1 testbed.
 :mod:`repro.overlay`
     JXTA-Overlay platform: Broker, Primitives and Client modules —
-    advertisements, discovery, pipes, peergroups, statistics, the
-    file-transmission protocol and executable-task management.
+    advertisements, discovery, statistics, the file-transmission
+    protocol and executable-task management.
 :mod:`repro.selection`
     The paper's subject: scheduling-based (economic), data-evaluator
     and user's-preference selection models plus blind baselines.
@@ -29,7 +29,7 @@ Quickstart
 >>> print(result.table())
 """
 
-from repro import analysis, apps, experiments, overlay, selection, simnet, workloads
+from repro import analysis, experiments, overlay, selection, simnet, workloads
 from repro.errors import ReproError
 
 __version__ = "1.0.0"
@@ -41,7 +41,6 @@ __all__ = [
     "workloads",
     "experiments",
     "analysis",
-    "apps",
     "ReproError",
     "__version__",
 ]

@@ -37,7 +37,6 @@ class MetricSpec:
 
 METRICS: Tuple[MetricSpec, ...] = (
     # -- broker control plane ------------------------------------------------
-    MetricSpec("broker.allocations", "counter", "overlay", "peergroup allocations served"),
     MetricSpec("broker.discovery_queries", "counter", "overlay", "discovery lookups answered"),
     MetricSpec("broker.joins", "counter", "overlay", "peer join registrations"),
     MetricSpec("broker.keepalives", "counter", "overlay", "keepalive messages processed"),

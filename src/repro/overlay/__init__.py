@@ -1,20 +1,17 @@
 """JXTA-Overlay platform (Python reimplementation).
 
-The overlay's three modules per the paper (§3): the **Broker**
+The paper (§3) names three modules: the **Broker**
 (:class:`.broker.Broker` — network governor, registry, statistics,
-discovery index, groups), the **Primitives**
-(:class:`.primitives.Primitives` — discovery, selection, allocation,
-file transmission, instant communication, peergroups, task management)
-and the **Client** module (:class:`.client.SimpleClient` /
-:class:`.client.Client`).
+discovery index), the **Primitives** (here the services every
+:class:`.peer.PeerNode` carries: ``discovery``, ``transfers``,
+``tasks``, ``sharing`` and instant messages) and the **Client** module
+(:class:`.client.SimpleClient` / :class:`.client.Client`).
 """
 
 from repro.overlay.advertisements import (
     DEFAULT_LIFETIME_S,
     Advertisement,
-    GroupAdvertisement,
     PeerAdvertisement,
-    PipeAdvertisement,
     ResourceAdvertisement,
 )
 from repro.overlay.broker import Broker, PeerRecord
@@ -32,32 +29,18 @@ from repro.overlay.filetransfer import (
     TransferHandle,
     split_even,
 )
-from repro.overlay.group import GroupRegistry, PeerGroup
-from repro.overlay.ids import (
-    GroupId,
-    IdFactory,
-    PeerId,
-    PipeId,
-    TaskId,
-    TransferId,
-)
+from repro.overlay.ids import IdFactory, PeerId, TaskId, TransferId
 from repro.overlay.peer import PeerConfig, PeerNode, RequestTimeout
-from repro.overlay.pipes import PropagatePipe, UnicastPipe
-from repro.overlay.primitives import Primitives
 from repro.overlay.statistics import Counters, PeerStats, PerformanceHistory
 from repro.overlay.taskexec import TaskExecutionService, TaskOutcome
 
 __all__ = [
     "IdFactory",
     "PeerId",
-    "PipeId",
-    "GroupId",
     "TaskId",
     "TransferId",
     "Advertisement",
     "PeerAdvertisement",
-    "PipeAdvertisement",
-    "GroupAdvertisement",
     "ResourceAdvertisement",
     "DEFAULT_LIFETIME_S",
     "PeerNode",
@@ -67,8 +50,6 @@ __all__ = [
     "Client",
     "Broker",
     "PeerRecord",
-    "PeerGroup",
-    "GroupRegistry",
     "PeerStats",
     "Counters",
     "PerformanceHistory",
@@ -83,7 +64,4 @@ __all__ = [
     "FileSharingService",
     "SharedFile",
     "FileNotShared",
-    "UnicastPipe",
-    "PropagatePipe",
-    "Primitives",
 ]

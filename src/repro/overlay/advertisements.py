@@ -1,7 +1,7 @@
 """JXTA-style advertisements.
 
 An advertisement is a published, expiring description of a resource:
-peers, pipes, peergroups and resource (module) capabilities.  The
+peers and resource (module) capabilities.  The
 discovery service (:mod:`repro.overlay.discovery`) indexes, serves and
 expires them.
 """
@@ -9,16 +9,14 @@ expires them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping
 
 from repro.errors import AdvertisementExpired
-from repro.overlay.ids import GroupId, PeerId, PipeId
+from repro.overlay.ids import PeerId
 
 __all__ = [
     "Advertisement",
     "PeerAdvertisement",
-    "PipeAdvertisement",
-    "GroupAdvertisement",
     "ResourceAdvertisement",
     "DEFAULT_LIFETIME_S",
 ]
@@ -68,36 +66,6 @@ class PeerAdvertisement(Advertisement):
             raise ValueError("peer advertisement needs a peer_id")
         if self.kind not in ("simpleclient", "client", "broker"):
             raise ValueError(f"unknown peer kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class PipeAdvertisement(Advertisement):
-    """Announces a pipe endpoint."""
-
-    pipe_id: PipeId = None  # type: ignore[assignment]
-    name: str = ""
-    #: "unicast" or "propagate".
-    pipe_type: str = "unicast"
-    owner: Optional[PeerId] = None
-
-    def __post_init__(self) -> None:
-        if self.pipe_id is None:
-            raise ValueError("pipe advertisement needs a pipe_id")
-        if self.pipe_type not in ("unicast", "propagate"):
-            raise ValueError(f"unknown pipe type {self.pipe_type!r}")
-
-
-@dataclass(frozen=True)
-class GroupAdvertisement(Advertisement):
-    """Announces a peergroup."""
-
-    group_id: GroupId = None  # type: ignore[assignment]
-    name: str = ""
-    description: str = ""
-
-    def __post_init__(self) -> None:
-        if self.group_id is None:
-            raise ValueError("group advertisement needs a group_id")
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,8 @@
 
 Per the paper (§3), brokers "act as governors of the P2P network":
 they admit peers, keep the per-peer historical and statistical data
-the selection models consume, index advertisements for discovery,
-manage peergroups, and plan allocations (the scheduling-based model's
-ready-time bookkeeping lives here).
+the selection models consume, index advertisements for discovery, and
+keep the scheduling-based model's ready-time bookkeeping.
 
 The broker extends :class:`~repro.overlay.peer.PeerNode`, so it is a
 full peer (it can itself transfer files and submit tasks — which is how
@@ -16,20 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.errors import GroupMembershipError, HostDownError, UnknownPeerError
+from repro.errors import HostDownError, UnknownPeerError
 from repro.overlay.advertisements import (
     Advertisement,
-    GroupAdvertisement,
     PeerAdvertisement,
+    ResourceAdvertisement,
 )
-from repro.overlay.group import GroupRegistry, PeerGroup
-from repro.overlay.ids import GroupId, PeerId
+from repro.overlay.ids import PeerId
 from repro.overlay.messages import (
     DigestEntry,
     DiscoveryQuery,
     DiscoveryResponse,
-    GroupJoinAck,
-    GroupJoinRequest,
     JoinAck,
     JoinRequest,
     KeepAlive,
@@ -142,7 +138,7 @@ class PeerRecord:
 
 
 class Broker(PeerNode):
-    """Broker peer: registry + discovery index + group governor."""
+    """Broker peer: registry + discovery index."""
 
     kind = "broker"
 
@@ -167,12 +163,9 @@ class Broker(PeerNode):
         #: Peer-name -> record index (gossip rumors identify members by
         #: name, not PeerId).
         self._name_index: Dict[str, PeerRecord] = {}
-        self.groups = GroupRegistry()
         #: Published advertisements by kind for discovery.
         self._adv_index: Dict[str, List[Advertisement]] = {
             "peer": [],
-            "pipe": [],
-            "group": [],
             "resource": [],
         }
         self.online = True
@@ -187,7 +180,6 @@ class Broker(PeerNode):
         h.on_message(StatReport, self._on_stat_report)
         h.on_message(DiscoveryQuery, self._on_discovery_query)
         h.on_message(PublishAdvertisement, self._on_publish)
-        h.on_message(GroupJoinRequest, self._on_group_join)
         h.on_message(StateSync, self._on_state_sync)
         #: Gossip federation attachments (see :meth:`attach_federation`;
         #: all None outside a gossip federation).
@@ -205,41 +197,11 @@ class Broker(PeerNode):
         self._m_stat_reports = reg.counter("broker.stat_reports")
         self._m_queries = reg.counter("broker.discovery_queries")
         self._m_state_syncs = reg.counter("broker.state_syncs")
-        self._m_allocations = reg.counter("broker.allocations")
         self._m_registry_size = reg.gauge("broker.registry_size")
         self._m_shard_handoffs = reg.counter("gossip.shard_handoffs")
         self._m_shard_map_version = reg.gauge("gossip.shard_map_version")
         self._m_fanout_queries = reg.counter("gossip.fanout_queries")
         self._m_join_redirects = reg.counter("gossip.join_redirects")
-
-    # -- maintenance ---------------------------------------------------------
-
-    def prune_expired_advertisements(self) -> int:
-        """Drop expired entries from the discovery index.
-
-        Returns the number removed.  Queries already filter expired
-        advertisements on the fly; pruning reclaims index memory in
-        long-running deployments.
-        """
-        now = self.sim.now
-        removed = 0
-        for kind, advs in self._adv_index.items():
-            fresh = [a for a in advs if not a.is_expired(now)]
-            removed += len(advs) - len(fresh)
-            self._adv_index[kind] = fresh
-        return removed
-
-    def start_maintenance(self, interval_s: float = 600.0) -> None:
-        """Run periodic index pruning for the broker's lifetime."""
-        if interval_s <= 0:
-            raise ValueError("interval must be > 0")
-
-        def loop():
-            while self.online:
-                yield interval_s
-                self.prune_expired_advertisements()
-
-        self.sim.process(loop(), name=f"maintenance@{self.name}")
 
     # -- registry ---------------------------------------------------------
 
@@ -379,7 +341,6 @@ class Broker(PeerNode):
         rec = self.registry.get(notice.peer_id)
         if rec is not None:
             rec.online = False
-            self.groups.drop_member_everywhere(notice.peer_id)
 
     def _on_keepalive(self, dgram: Datagram) -> None:
         beacon: KeepAlive = dgram.payload
@@ -501,20 +462,6 @@ class Broker(PeerNode):
                 ),
                 light=True,
             )
-
-    def _on_group_join(self, dgram: Datagram) -> None:
-        req: GroupJoinRequest = dgram.payload
-        src = self.network.host(dgram.src)
-        try:
-            group = self.groups.get(req.group_id)
-            if req.peer_id not in group:
-                group.add(req.peer_id)
-            ack = GroupJoinAck(
-                group_id=req.group_id, accepted=True, members=group.member_ids()
-            )
-        except GroupMembershipError:
-            ack = GroupJoinAck(group_id=req.group_id, accepted=False)
-        self.host.send(src, ack, light=True)
 
     # -- gossip federation (sharded registry; see repro.gossip) ---------------
 
@@ -649,8 +596,8 @@ class Broker(PeerNode):
         """Periodically replicate full broker state to ``other``.
 
         The :class:`StateSync` carries registry entries (with per-entry
-        recency), the discovery index and peergroup membership, so the
-        target can take over as governor.
+        recency) and the discovery index, so the target can take over
+        as governor.
         Safe to call on both sides of a pair — entries merge by recency
         (see :meth:`_absorb_entries`).
         """
@@ -694,14 +641,10 @@ class Broker(PeerNode):
             for kind, advs in self._adv_index.items()
             for adv in advs
         )
-        groups = tuple(
-            (group.adv, group.member_ids()) for group in self.groups
-        )
         return StateSync(
             broker_id=self.peer_id,
             entries=entries,
             advertisements=advertisements,
-            groups=groups,
         )
 
     def _send_state_syncs(self) -> None:
@@ -727,72 +670,6 @@ class Broker(PeerNode):
                 bucket.append(adv)
                 if kind == "peer":
                     self.directory.setdefault(adv.peer_id, adv.hostname)
-        for gadv, member_ids in sync.groups:
-            try:
-                group = self.groups.get(gadv.group_id)
-            except GroupMembershipError:
-                group = self.groups.create(gadv)
-            for peer_id in member_ids:
-                if peer_id not in group:
-                    group.add(peer_id)
-
-    # -- group governance (local API) ------------------------------------------
-
-    def group_pipe(self, group: PeerGroup):
-        """A propagate pipe over a group's current members.
-
-        Members must be registered (their hostnames come from the
-        registry); the pipe is a snapshot — peers joining later need a
-        fresh pipe.
-        """
-        from repro.overlay.pipes import PropagatePipe
-
-        pipe = PropagatePipe(self, f"group:{group.name}")
-        pipe.attach(
-            self.record(peer_id).adv for peer_id in group.member_ids()
-        )
-        return pipe
-
-    def create_group(self, name: str, description: str = "") -> PeerGroup:
-        """Create and advertise a new peergroup."""
-        adv = GroupAdvertisement(
-            published_at=self.sim.now,
-            group_id=self.ids.group_id(name),
-            name=name,
-            description=description,
-        )
-        group = self.groups.create(adv)
-        self._adv_index["group"].append(adv)
-        return group
-
-    # -- resource allocation (the Primitives' allocation operation) -----------------
-
-    def allocate(self, selector, workload, kind: str = "simpleclient"):
-        """Pick and commit a peer for ``workload`` using ``selector``.
-
-        This is the overlay's *resource allocation* primitive: the
-        broker builds the selection context from its registry, runs the
-        model, reserves the winner's ready time (so subsequent
-        allocations see the commitment) and returns the record.
-        Raises :class:`~repro.errors.NoCandidatesError` when no peer is
-        available.
-        """
-        from repro.selection.base import SelectionContext
-        from repro.selection.readytime import ReadyTimeEstimator
-
-        context = SelectionContext(
-            broker=self,
-            now=self.sim.now,
-            workload=workload,
-            candidates=self.candidates(kind=kind),
-        )
-        record = selector.select(context)
-        estimate = ReadyTimeEstimator(self).estimate(
-            record, workload, self.sim.now
-        )
-        self.reserve(record.peer_id, estimate.completion_at)
-        self._m_allocations.inc()
-        return record
 
     # -- planning estimates (economic model support) ------------------------------
 
@@ -823,20 +700,9 @@ class Broker(PeerNode):
 
 def _adv_kind(adv: Advertisement) -> Optional[str]:
     """Map an advertisement instance to its discovery kind."""
-    from repro.overlay.advertisements import (
-        GroupAdvertisement as G,
-        PeerAdvertisement as P,
-        PipeAdvertisement as Pi,
-        ResourceAdvertisement as R,
-    )
-
-    if isinstance(adv, P):
+    if isinstance(adv, PeerAdvertisement):
         return "peer"
-    if isinstance(adv, Pi):
-        return "pipe"
-    if isinstance(adv, G):
-        return "group"
-    if isinstance(adv, R):
+    if isinstance(adv, ResourceAdvertisement):
         return "resource"
     return None
 

@@ -1,6 +1,6 @@
 """Client-side discovery service.
 
-Peers discover resources (other peers, pipes, groups, shared files) by
+Peers discover resources (other peers, shared files) by
 querying their broker's advertisement index; results are cached locally
 with their advertised lifetimes, JXTA-style.
 """

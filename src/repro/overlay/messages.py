@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Tuple
 
-from repro.overlay.ids import GroupId, PeerId, TaskId, TransferId
+from repro.overlay.ids import PeerId, TaskId, TransferId
 
 __all__ = [
     "JoinRequest",
@@ -30,12 +30,7 @@ __all__ = [
     "DiscoveryQuery",
     "DiscoveryResponse",
     "PublishAdvertisement",
-    "GroupJoinRequest",
-    "GroupJoinAck",
     "InstantMessage",
-    "PipeBindRequest",
-    "PipeBindAck",
-    "PipeMessage",
     "FileRequest",
     "FileRequestAck",
     "FilePetition",
@@ -143,19 +138,17 @@ class DigestEntry:
 class StateSync:
     """Broker state replication for failover (primary <-> standby).
 
-    Besides the registry entries it carries the discovery index and
-    peergroup membership, so a promoted standby can answer discovery
-    queries and group joins without a warm-up round.  Entries merge by
-    recency (via :attr:`DigestEntry.seen_ago_s`), which makes
-    replication safe in both directions between a live pair.
+    Besides the registry entries it carries the discovery index, so a
+    promoted standby can answer discovery queries without a warm-up
+    round.  Entries merge by recency (via
+    :attr:`DigestEntry.seen_ago_s`), which makes replication safe in
+    both directions between a live pair.
     """
 
     broker_id: PeerId
     entries: Tuple["DigestEntry", ...] = ()
     #: Discovery index content as ``(kind, advertisement)`` pairs.
     advertisements: Tuple[Tuple[str, Any], ...] = ()
-    #: Peergroups as ``(group advertisement, member ids)`` pairs.
-    groups: Tuple[Tuple[Any, Tuple[PeerId, ...]], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -179,7 +172,7 @@ class StatReport:
 class DiscoveryQuery:
     """Ask the broker for advertisements.
 
-    ``adv_kind`` in {"peer", "pipe", "group", "resource"}; ``attrs``
+    ``adv_kind`` in {"peer", "resource"}; ``attrs``
     are equality filters on advertisement fields.
     """
 
@@ -209,28 +202,6 @@ class PublishAdvertisement:
 
 
 # --------------------------------------------------------------------------
-# Peergroups
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GroupJoinRequest:
-    """Peer asks to join a peergroup managed by the broker."""
-
-    peer_id: PeerId
-    group_id: GroupId
-
-
-@dataclass(frozen=True)
-class GroupJoinAck:
-    """Broker confirms (or denies) group membership."""
-
-    group_id: GroupId
-    accepted: bool
-    members: Tuple[PeerId, ...] = ()
-
-
-# --------------------------------------------------------------------------
 # Instant communication
 # --------------------------------------------------------------------------
 
@@ -241,36 +212,6 @@ class InstantMessage:
 
     sender: PeerId
     text: str
-
-
-# --------------------------------------------------------------------------
-# Pipes
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PipeBindRequest:
-    """Resolve and bind a pipe end at the remote peer (heavy message)."""
-
-    pipe_id: Any
-    requester: PeerId
-
-
-@dataclass(frozen=True)
-class PipeBindAck:
-    """Remote peer confirms the pipe is bound."""
-
-    pipe_id: Any
-    accepted: bool
-
-
-@dataclass(frozen=True)
-class PipeMessage:
-    """Application payload carried over a bound pipe (light message)."""
-
-    pipe_id: Any
-    sender: PeerId
-    body: Any
 
 
 # --------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from repro.overlay.ids import IdFactory, PeerId
 from repro.overlay.messages import (
     DiscoveryResponse,
     FilePetition,
-    GroupJoinAck,
     InstantMessage,
     JoinAck,
     JoinRequest,
@@ -45,9 +44,6 @@ from repro.overlay.messages import (
     PartConfirm,
     PartNotice,
     PetitionAck,
-    PipeBindAck,
-    PipeBindRequest,
-    PipeMessage,
     StatReport,
     TaskAccept,
     TaskReject,
@@ -327,11 +323,7 @@ class PeerNode:
         h.on_message(TaskReject, self._on_task_reject)
         h.on_message(TaskResult, self._on_task_result)
         h.on_message(InstantMessage, self._on_im)
-        h.on_message(PipeBindRequest, self._on_pipe_bind_request)
-        h.on_message(PipeBindAck, self._on_pipe_bind_ack)
-        h.on_message(PipeMessage, self._on_pipe_message)
         h.on_message(DiscoveryResponse, self._on_discovery_response)
-        h.on_message(GroupJoinAck, self._on_group_join_ack)
         h.on_message(Ping, self._on_ping)
         h.on_message(Pong, self._on_pong)
 
@@ -380,32 +372,14 @@ class PeerNode:
         r: TaskResult = dgram.payload
         self.fulfill(("task-result", r.task_id), r)
 
-    # IM & pipes ------------------------------------------------------------------
+    # IM & discovery --------------------------------------------------------------
 
     def _on_im(self, dgram: Datagram) -> None:
         self.im_inbox.put(dgram.payload)
 
-    def _on_pipe_bind_request(self, dgram: Datagram) -> None:
-        req: PipeBindRequest = dgram.payload
-        src = self.network.host(dgram.src)
-        self.host.send(src, PipeBindAck(pipe_id=req.pipe_id, accepted=True), light=True)
-
-    def _on_pipe_bind_ack(self, dgram: Datagram) -> None:
-        ack: PipeBindAck = dgram.payload
-        self.fulfill(("pipe-bind", ack.pipe_id), ack)
-
-    def _on_pipe_message(self, dgram: Datagram) -> None:
-        msg: PipeMessage = dgram.payload
-        if not self.fulfill(("pipe-msg", msg.pipe_id), msg):
-            self.im_inbox.put(msg)
-
     def _on_discovery_response(self, dgram: Datagram) -> None:
         resp: DiscoveryResponse = dgram.payload
         self.fulfill(("disc", resp.query_id), resp)
-
-    def _on_group_join_ack(self, dgram: Datagram) -> None:
-        ack: GroupJoinAck = dgram.payload
-        self.fulfill(("group-join", ack.group_id), ack)
 
     def _on_ping(self, dgram: Datagram) -> None:
         ping: Ping = dgram.payload

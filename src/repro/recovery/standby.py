@@ -4,8 +4,8 @@ The :class:`FailoverDirector` binds a primary/standby broker pair:
 
 * the primary (and, symmetrically, the standby) replicates state with
   :meth:`~repro.overlay.broker.Broker.replicate_to` — registry entries
-  with per-entry recency, the discovery index and peergroup membership
-  — so the standby can govern without a warm-up round;
+  with per-entry recency and the discovery index — so the standby can
+  govern without a warm-up round;
 * the standby probes the primary over the simulated network; after
   ``failover_miss_threshold`` consecutive missed probes the standby is
   **promoted** — deterministically, since probe timing is pure sim

@@ -37,6 +37,13 @@ class TestQueryAndCache:
         for adv in advs:
             assert client.directory[adv.peer_id] == adv.hostname
 
+    def test_broker_discovers_registered_peers(self, overlay_pair, sim):
+        # The broker's own queries loop back through its index.
+        broker, client, net = overlay_pair
+        connect(sim, broker, client)
+        advs = run_process(sim, broker.discovery.query("peer"))
+        assert any(a.peer_id == client.peer_id for a in advs)
+
     def test_cache_deduplicates(self, overlay_pair, sim):
         broker, client, net = overlay_pair
         connect(sim, broker, client)

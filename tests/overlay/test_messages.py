@@ -28,9 +28,8 @@ class TestVocabularyShape:
             "StatReport", "DigestEntry", "StateSync",
             # discovery
             "DiscoveryQuery", "DiscoveryResponse", "PublishAdvertisement",
-            # groups, IM, pipes
-            "GroupJoinRequest", "GroupJoinAck", "InstantMessage",
-            "PipeBindRequest", "PipeBindAck", "PipeMessage",
+            # instant messaging
+            "InstantMessage",
             # file sharing & transfer
             "FileRequest", "FileRequestAck",
             "FilePetition", "PetitionAck", "PartNotice", "PartConfirm",
@@ -64,7 +63,7 @@ class TestDefaults:
 
     def test_state_sync_defaults_empty(self):
         d = messages.StateSync(broker_id=ids.peer_id())
-        assert (d.entries, d.advertisements, d.groups) == ((), (), ())
+        assert (d.entries, d.advertisements) == ((), ())
 
     def test_messages_immutable(self):
         ping = messages.Ping(sender=ids.peer_id())
